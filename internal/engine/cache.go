@@ -67,13 +67,16 @@ type NeighborPlan struct {
 // function of its request (the paper's planning problems carry no
 // hidden state), a cached Plan is indistinguishable from a fresh one —
 // and since the wire encoding is canonical, re-encoding a cached Plan
-// yields byte-identical documents.
+// yields byte-identical documents. It is the service's one memo of a
+// /v1/solve answer: one bound, one eviction order, one set of counters.
 //
-// Three mechanisms compose:
+// Four mechanisms compose:
 //
 //   - a size-bounded LRU of completed plans (MaxEntries), with
-//     rendered-only fill entries (PutRendered) segregated so a
-//     back-fill storm cannot evict hot solved plans;
+//     rendered-only fill entries (Fill, PutRendered) on a tier that
+//     evicts first, so a back-fill storm cannot evict hot solved plans;
+//   - Lookup: a stored rendering by content address, without the key
+//     function — one hash and one map lookup for a canonical body;
 //   - singleflight deduplication: concurrent identical requests
 //     collapse onto one in-flight solve, followers wait for the
 //     leader's result (or their own context, whichever ends first);
@@ -201,36 +204,25 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// NoteBytesHit records a hit answered by a byte-level front cache
-// sitting above this one (the service's raw-body → response-bytes
-// memo). Such a hit is still "a lookup answered from a completed
-// entry" — the front entry was written from this cache's rendering —
-// so it counts toward Hits and keeps the exported counters consistent
-// with what clients observe. The LRU order is deliberately untouched:
-// the front cache answered without consulting an entry.
-func (c *Cache) NoteBytesHit() { c.hits.Add(1) }
-
-// Contains reports whether a completed plan for the request is
-// currently cached, without bumping the LRU or the counters — a
-// read-only probe for callers sizing or introspecting a cache.
-func (c *Cache) Contains(req Request) bool {
-	k, err := c.keyOf(req)
-	if err != nil {
-		return false
-	}
+// Lookup returns the rendered document stored under a content address
+// (the SHA-256 of a canonical request encoding — for every SDK request
+// that is its raw body). A found entry counts as a hit and moves to the
+// front of its tier like any other hit; a plan never rendered reports
+// false. The returned bytes are shared and must be treated as immutable.
+func (c *Cache) Lookup(k [sha256.Size]byte) ([]byte, bool) {
 	c.mu.Lock()
-	_, ok := c.entries[k]
-	c.mu.Unlock()
-	return ok
-}
-
-// keyOf hashes the request's canonical encoding.
-func (c *Cache) keyOf(req Request) ([sha256.Size]byte, error) {
-	data, err := c.key(req)
-	if err != nil {
-		return [sha256.Size]byte{}, err
+	var out []byte
+	if el, ok := c.entries[k]; ok {
+		if out = el.Value.(*cacheEntry).rendered; out != nil {
+			c.touchLocked(el)
+		}
 	}
-	return sha256.Sum256(data), nil
+	c.mu.Unlock()
+	if out == nil {
+		return nil, false
+	}
+	c.hits.Add(1)
+	return out, true
 }
 
 // RenderFunc encodes a completed plan into its canonical document
@@ -526,41 +518,39 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// PutRendered stores a pre-rendered canonical plan document under the
-// request's content address without running a solve — the cluster's
-// peer back-fill path: a replica that solved a plan it does not own
-// pushes the document to the owner so the next lookup there hits. The
-// bytes must be the canonical rendering the cache's RenderFunc would
-// have produced (the wire encoding is canonical, so any replica's
-// rendering is THE rendering). Existing entries keep their first
-// rendering; fills count toward neither Hits nor Misses, and evict
-// before solved plans. With a store attached the document is also
-// persisted — the replica owns this shard of the key space, so its
-// store accumulates exactly the plans the ring routes to it. It
-// reports whether the document was stored (an unencodable request
-// cannot be addressed).
+// PutRendered is Fill addressed by request, plus persistence — the
+// cluster's peer back-fill path: a replica that solved a plan it does
+// not own pushes the document to the owner, whose store accumulates
+// exactly the shard of plans the ring routes to it. It reports whether
+// the document was stored (an unencodable request cannot be addressed).
 func (c *Cache) PutRendered(req Request, rendered []byte) bool {
 	data, err := c.key(req)
 	if err != nil {
 		return false
 	}
-	k := sha256.Sum256(data)
+	c.Fill(sha256.Sum256(data), rendered)
+	if store := c.getStore(); store != nil {
+		store.Persist(req, data, rendered, nil)
+	}
+	return true
+}
+
+// Fill keeps a pre-rendered canonical plan document (what the cache's
+// RenderFunc would produce) in memory under a content address, without
+// a solve. Fills count toward neither Hits nor Misses, evict before
+// solved plans and are not persisted. An existing entry keeps its first
+// rendering.
+func (c *Cache) Fill(k [sha256.Size]byte, rendered []byte) {
 	c.mu.Lock()
-	store := c.store
+	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
 		e := el.Value.(*cacheEntry)
 		if e.rendered == nil {
 			e.rendered = rendered
 		}
 		c.touchLocked(el)
-		c.mu.Unlock()
-	} else {
-		c.entries[k] = c.fills.PushFront(&cacheEntry{key: k, rendered: rendered, fill: true})
-		c.evictLocked()
-		c.mu.Unlock()
+		return
 	}
-	if store != nil {
-		store.Persist(req, data, rendered, nil)
-	}
-	return true
+	c.entries[k] = c.fills.PushFront(&cacheEntry{key: k, rendered: rendered, fill: true})
+	c.evictLocked()
 }

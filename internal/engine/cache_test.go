@@ -31,6 +31,12 @@ func testKeyFunc(req Request) ([]byte, error) {
 	return json.Marshal(doc)
 }
 
+// testKey is the content address testKeyFunc gives req.
+func testKey(req Request) [sha256.Size]byte {
+	data, _ := testKeyFunc(req)
+	return sha256.Sum256(data)
+}
+
 // countingRegistry returns a registry with one solver that counts its
 // invocations.
 func countingRegistry(t *testing.T, calls *atomic.Int64) *Registry {
@@ -267,12 +273,19 @@ func TestCacheExecuteRendered(t *testing.T) {
 	if calls.Load() != 1 || renders.Load() != 1 {
 		t.Fatalf("solver/render calls = %d/%d, want 1/1", calls.Load(), renders.Load())
 	}
+	// A lookup by content address answers the same bytes as one hit.
+	if out, ok := c.Lookup(testKey(req)); !ok || !bytes.Equal(out, first) || c.Stats().Hits != 2 {
+		t.Fatalf("Lookup = %q, %v with %d hits, want the rendered bytes as hit 2", out, ok, c.Stats().Hits)
+	}
 
 	// A plan cached through the plan-only path renders exactly once when
-	// the byte path first sees it.
+	// the byte path first sees it; until then Lookup has no bytes.
 	other := NewRequest(cacheFig1(), WithSolver("acyclic"), WithTolerance(1e-9), WithCache(c))
 	if _, err := r.Execute(ctx, other); err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := c.Lookup(testKey(other)); ok {
+		t.Fatal("Lookup answered a plan that was never rendered")
 	}
 	before := renders.Load()
 	out1, info, err := c.ExecuteRendered(ctx, r, other, render)
@@ -295,22 +308,50 @@ func TestCacheExecuteRendered(t *testing.T) {
 	}
 }
 
-func TestCacheContains(t *testing.T) {
+// TestCacheLookupKeepsEntryWarm: a Lookup hit bumps recency, so
+// eviction takes the untouched entry, not the looked-up one.
+func TestCacheLookupKeepsEntryWarm(t *testing.T) {
 	var calls atomic.Int64
 	r := countingRegistry(t, &calls)
+	c := NewCache(2, testKeyFunc)
+	render := func(p *Plan) ([]byte, error) { return []byte("plan"), nil }
+	reqFor := func(b0 float64) Request {
+		return NewRequest(platform.MustInstance(b0, []float64{5, 5}, nil), WithSolver("acyclic"))
+	}
+	solve := func(b0 float64) {
+		if _, _, err := c.ExecuteRendered(context.Background(), r, reqFor(b0), render); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve(6)
+	solve(7)
+	if _, ok := c.Lookup(testKey(reqFor(6))); !ok {
+		t.Fatal("Lookup missed a cached entry")
+	}
+	solve(8) // evicts the least recently used entry
+	if _, ok := c.Lookup(testKey(reqFor(6))); !ok {
+		t.Fatal("looked-up entry evicted ahead of an untouched one")
+	}
+	if _, ok := c.Lookup(testKey(reqFor(7))); ok {
+		t.Fatal("untouched entry survived eviction over a looked-up one")
+	}
+}
+
+// TestCacheFillIsMemoryOnly: a Fill answers lookups from the fill tier
+// and, unlike PutRendered, never reaches the store.
+func TestCacheFillIsMemoryOnly(t *testing.T) {
 	c := NewCache(8, testKeyFunc)
-	req := NewRequest(cacheFig1(), WithSolver("acyclic"), WithCache(c))
-	if c.Contains(req) {
-		t.Fatal("Contains true before any solve")
+	store := &mockPlanStore{}
+	c.SetStore(store)
+	req := NewRequest(cacheFig1(), WithSolver("acyclic"))
+	c.Fill(testKey(req), []byte("plan:from-owner"))
+	out, ok := c.Lookup(testKey(req))
+	if st := c.Stats(); !ok || string(out) != "plan:from-owner" || st.FillEntries != 1 || store.persists != 0 {
+		t.Fatalf("after Fill: out=%q ok=%v stats=%+v persists=%d", out, ok, st, store.persists)
 	}
-	if _, err := r.Execute(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if !c.Contains(req) {
-		t.Fatal("Contains false after a completed solve")
-	}
-	if st := c.Stats(); st.Hits != 0 {
-		t.Errorf("Contains must not count as a hit: %+v", st)
+	c.PutRendered(req, []byte("plan:owned"))
+	if store.persists != 1 {
+		t.Fatalf("PutRendered persisted %d documents, want 1", store.persists)
 	}
 }
 
@@ -487,12 +528,8 @@ func TestCacheStoreDiskHit(t *testing.T) {
 	r := countingRegistry(t, &solves)
 	c := NewCache(8, testKeyFunc)
 	req := NewRequest(cacheFig1(), WithSolver("acyclic"), WithCache(c))
-	data, err := testKeyFunc(req)
-	if err != nil {
-		t.Fatal(err)
-	}
 	doc := []byte(`{"persisted":true}`)
-	store := &mockPlanStore{rendered: map[[sha256.Size]byte][]byte{sha256.Sum256(data): doc}}
+	store := &mockPlanStore{rendered: map[[sha256.Size]byte][]byte{testKey(req): doc}}
 	c.SetStore(store)
 
 	render := func(p *Plan) ([]byte, error) { return nil, fmt.Errorf("must not render a disk hit") }

@@ -66,19 +66,26 @@ func (s *Server) peer(ep string) *client.Client {
 	return c
 }
 
-// maybeForward routes one decoded solve by ring ownership. When the
-// key belongs to a peer it forwards there (hedged with a local solve)
-// and reports forwarded=true; a local owner — or an unencodable
-// request, which has no content address — reports forwarded=false and
-// leaves the caller on the ordinary local path.
-func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, forwarded bool, err error) {
+// maybeForward routes one decoded solve by ring ownership. A cached
+// answer under the canonical content address is served locally
+// ("hit"); a key owned by a peer is forwarded there, hedged with a
+// local solve ("forward"), and the owner's answer kept as a
+// memory-only fill. A local owner — or an unencodable request, which
+// has no content address — reports "" for the ordinary local path.
+func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, label string, err error) {
 	canonical, encErr := wire.EncodeRequest(req)
 	if encErr != nil {
-		return nil, false, nil
+		return nil, "", nil
 	}
-	owner, self := s.node.Owner(cluster.Key(canonical))
+	key := cluster.Key(canonical)
+	if s.cache != nil {
+		if out, ok := s.cache.Lookup(key); ok {
+			return out, "hit", nil
+		}
+	}
+	owner, self := s.node.Owner(key)
 	if self || owner == "" {
-		return nil, false, nil
+		return nil, "", nil
 	}
 	s.forwardsN.Add(1)
 	out, fromFallback, err := cluster.Hedged(r.Context(), s.cfg.HedgeAfter,
@@ -106,13 +113,16 @@ func (s *Server) maybeForward(r *http.Request, req engine.Request) (out []byte, 
 			return out, err
 		})
 	if err != nil {
-		return nil, true, err
+		return nil, "", err
 	}
 	if fromFallback {
+		// The local solve already cached (and persisted) the plan here.
 		s.fallbackWinsN.Add(1)
 		s.backfill(owner, canonical, out)
+	} else if s.cache != nil {
+		s.cache.Fill(key, out)
 	}
-	return out, true, nil
+	return out, "forward", nil
 }
 
 // backfill pushes a locally solved plan to the replica that owns its

@@ -197,7 +197,9 @@ func TestClusterSolvesEachKeyOnce(t *testing.T) {
 		t.Errorf("forward counter sum = %d, want 2", fwdN)
 	}
 
-	// Round 2: every replica now answers from its raw-body front cache.
+	// Round 2: every replica now answers from its own plan cache — the
+	// owner from its solved entry, each non-owner from the memory-only
+	// fill its forwarded answer left — so nothing is forwarded again.
 	for _, u := range urls {
 		code, body, hdr := postHdr(t, u+"/v1/solve", fig1Request)
 		if code != http.StatusOK || !bytes.Equal(body, bodies[0]) {
@@ -209,6 +211,13 @@ func TestClusterSolvesEachKeyOnce(t *testing.T) {
 	}
 	if got := sumMisses(srvs); got != 1 {
 		t.Errorf("cluster-wide misses after repeats = %d, want still 1", got)
+	}
+	fwdN = 0
+	for _, s := range srvs {
+		fwdN += s.forwardsN.Load()
+	}
+	if fwdN != 2 {
+		t.Errorf("forward counter sum after repeats = %d, want still 2", fwdN)
 	}
 }
 

@@ -133,7 +133,6 @@ type Server struct {
 	gate  chan struct{}
 	mux   *http.ServeMux
 	cache *engine.Cache    // nil when disabled
-	front *frontCache      // raw-body → response-bytes memo; nil when cache disabled
 	store *planstore.Store // nil without Config.StoreDir
 	node  *cluster.Node    // nil when standalone
 
@@ -220,11 +219,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.CacheSize >= 0 {
 		s.cache = engine.NewCache(cfg.CacheSize, wire.EncodeRequest)
-		size := cfg.CacheSize
-		if size == 0 {
-			size = engine.DefaultCacheEntries
-		}
-		s.front = newFrontCache(size)
 	}
 	if cfg.StoreDir != "" {
 		if s.cache == nil {
@@ -433,15 +427,13 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 		s.fail(w, err)
 		return
 	}
-	// Byte-level fast path: a body-identical resubmission is answered
-	// from the stored response without decoding, canonicalizing or
-	// consuming a worker slot — the solve it memoizes already went
-	// through the gate and the plan cache (possibly on a peer).
-	var bodyKey [sha256.Size]byte
-	if s.front != nil {
-		bodyKey = sha256.Sum256(body)
-		if out, ok := s.front.get(bodyKey); ok {
-			s.cache.NoteBytesHit()
+	// Byte-level fast path: the SDK sends the canonical encoding, so
+	// the raw body's SHA-256 is the plan cache's content address and a
+	// repeat is answered from the stored rendering without decoding or
+	// consuming a worker slot. Any other spelling of the same request
+	// misses here and hits the same entry after decode.
+	if s.cache != nil {
+		if out, ok := s.cache.Lookup(sha256.Sum256(body)); ok {
 			w.Header().Set("X-Bmpcast-Cache", "hit")
 			s.reply(w, out)
 			return
@@ -453,16 +445,13 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 		return
 	}
 	if forwardable && s.clustered() {
-		out, forwarded, err := s.maybeForward(r, req)
+		out, label, err := s.maybeForward(r, req)
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
-		if forwarded {
-			if s.front != nil {
-				s.front.put(bodyKey, out)
-			}
-			w.Header().Set("X-Bmpcast-Cache", "forward")
+		if label != "" {
+			w.Header().Set("X-Bmpcast-Cache", label)
 			s.reply(w, out)
 			return
 		}
@@ -476,9 +465,6 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 	if err != nil {
 		s.fail(w, err)
 		return
-	}
-	if s.front != nil {
-		s.front.put(bodyKey, out)
 	}
 	if s.cache != nil {
 		switch {

@@ -62,13 +62,16 @@ func TestSolveEndpoint(t *testing.T) {
 func TestSolveByteStableUnderConcurrency(t *testing.T) {
 	_, ts := newTestServer(t)
 	const clients = 16
+	// Half the clients send the canonical body, whose repeats hit the
+	// cache by raw-body lookup; the rest hit after decode.
+	spellings := []string{fig1Request, string(canonicalFig1(t))}
 	bodies := make([][]byte, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(fig1Request))
+			resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(spellings[i%2]))
 			if err != nil {
 				return
 			}
@@ -375,6 +378,43 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestSolveOneMemo: /v1/solve remembers an answer once, in the plan
+// cache. Repeats of the canonical body (what the SDK sends) and of a
+// compact spelling of the same request both answer the cached bytes,
+// labelled hit, each adding one hit. With room for a single entry, an
+// evicted request is a miss again: no second layer still holds it.
+func TestSolveOneMemo(t *testing.T) {
+	srv := New(Config{Workers: 2, CacheSize: 1})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	canonical := string(canonicalFig1(t))
+	const other = `{"v":1,"instance":{"v":1,"b0":7,"open":[5,5]},"solver":"acyclic"}`
+	solve := func(body, wantLabel string, wantHits int64) []byte {
+		t.Helper()
+		before := srv.CacheStats().Hits
+		code, out, hdr := postHdr(t, ts.URL+"/v1/solve", body)
+		if got, hits := hdr.Get("X-Bmpcast-Cache"), srv.CacheStats().Hits-before; code != http.StatusOK || got != wantLabel || hits != wantHits {
+			t.Fatalf("status %d, X-Bmpcast-Cache = %q adding %d hits; want 200, %q adding %d", code, got, hits, wantLabel, wantHits)
+		}
+		return out
+	}
+	first := solve(canonical, "miss", 0)
+	for _, body := range []string{canonical, fig1Request, canonical, fig1Request} {
+		if out := solve(body, "hit", 1); !bytes.Equal(out, first) {
+			t.Fatalf("repeat answered %s, want %s", out, first)
+		}
+	}
+	for _, body := range []string{canonical, fig1Request} {
+		solve(other, "miss", 0) // takes the only slot
+		if out := solve(body, "miss", 0); !bytes.Equal(out, first) {
+			t.Fatalf("re-solve answered %s, want %s", out, first)
+		}
+	}
+	if m := getMetrics(t, ts.URL); !strings.Contains(m, "bmpcast_cache_hits_total 4\n") {
+		t.Errorf("metrics disagree with 4 hits:\n%s", m)
 	}
 }
 
