@@ -341,6 +341,34 @@ func BenchmarkThroughputMaxflowWorkspace(b *testing.B) {
 	}
 }
 
+// BenchmarkThroughputMaxflowLargeN is the warm verify of the batch
+// workloads' large plans: one acyclic scheme on a seeded heavy-tailed
+// LargeScale platform (Power2) at n=1k and n=5k, its throughput
+// re-derived by one bounded Dinic per receiver on a warm workspace.
+func BenchmarkThroughputMaxflowLargeN(b *testing.B) {
+	for _, size := range []int{1000, 5000} {
+		ins, err := generator.LargeScale(generator.LargeScaleConfig{
+			Nodes: size, POpen: 0.6, Dist: distribution.Power2(), Seed: 2014,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, s, err := repro.SolveAcyclic(ins)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(benchSize(size), func(b *testing.B) {
+			ws := repro.NewWorkspace()
+			s.ThroughputWithWorkspace(ws)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ThroughputWithWorkspace(ws)
+			}
+		})
+	}
+}
+
 // BenchmarkSolveAcyclicWorkspace measures the full search+build pipeline
 // on one warm workspace (the per-instance unit of an engine sweep).
 func BenchmarkSolveAcyclicWorkspace(b *testing.B) {

@@ -111,6 +111,26 @@ func NewSchemeSized(ins *platform.Instance, degCap func(i int) int) *Scheme {
 	return s
 }
 
+// Compact re-carves every adjacency into one exact-size slab, dropping
+// the slack a sized build reserved (BuildScheme's Theorem 4.1
+// reservation runs to about twice the final edge count). Call it once a
+// scheme is final and about to be retained. Each window is capped at
+// its length, so a later Add reallocates that node's adjacency instead
+// of writing into its neighbour's arcs.
+func (s *Scheme) Compact() {
+	slab := make([]arc, s.NumEdges())
+	off := 0
+	for i, a := range s.out {
+		if len(a) == 0 {
+			s.out[i] = nil
+			continue
+		}
+		n := copy(slab[off:], a)
+		s.out[i] = adjacency(slab[off : off+n : off+n])
+		off += n
+	}
+}
+
 // Instance returns the instance this scheme was built for.
 func (s *Scheme) Instance() *platform.Instance { return s.ins }
 

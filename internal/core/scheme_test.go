@@ -187,3 +187,61 @@ func TestSchemeStringAndEmptyThroughput(t *testing.T) {
 		t.Fatalf("String: %q", s)
 	}
 }
+
+// TestSchemeCompact: compaction keeps every edge and rate bit, leaves no
+// slack in any adjacency, and a later Add on one node cannot write into
+// the next node's arcs in the shared slab.
+func TestSchemeCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		open := make([]float64, 5+rng.Intn(20))
+		for i := range open {
+			open[i] = 1 + 99*rng.Float64()
+		}
+		guarded := make([]float64, rng.Intn(20))
+		for i := range guarded {
+			guarded[i] = 1 + 99*rng.Float64()
+		}
+		ins := platform.MustInstance(100, open, guarded)
+		_, s, err := SolveAcyclic(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := s.Edges()
+		s.Compact()
+		after := s.Edges()
+		if len(after) != len(before) {
+			t.Fatalf("trial %d: %d edges after Compact, %d before", trial, len(after), len(before))
+		}
+		for k := range before {
+			a, b := after[k], before[k]
+			if a.From != b.From || a.To != b.To || math.Float64bits(a.Weight) != math.Float64bits(b.Weight) {
+				t.Fatalf("trial %d: edge %d moved: %+v -> %+v", trial, k, b, a)
+			}
+		}
+		for i := range s.out {
+			if cap(s.out[i]) != len(s.out[i]) {
+				t.Fatalf("trial %d: node %d keeps %d slack slots", trial, i, cap(s.out[i])-len(s.out[i]))
+			}
+		}
+		// Grow the first sender that has a successor sender in the slab.
+		for i := 0; i+1 < len(s.out); i++ {
+			if len(s.out[i]) == 0 || len(s.out[i+1]) == 0 {
+				continue
+			}
+			next := append(adjacency(nil), s.out[i+1]...)
+			for j := 0; j < ins.Total(); j++ {
+				if j != i && s.Rate(i, j) == 0 {
+					s.Add(i, j, 1)
+					break
+				}
+			}
+			for k, e := range s.out[i+1] {
+				if e != next[k] {
+					t.Fatalf("trial %d: Add on node %d overwrote node %d arc %d", trial, i, i+1, k)
+				}
+			}
+			break
+		}
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -56,8 +55,10 @@ func BatchByName(ctx context.Context, solver string, instances []*platform.Insta
 //   - workers ≤ max(1, min(workers, n)), defaulting to GOMAXPROCS;
 //   - indexes are claimed in order, so early indexes start first and
 //     callers can fill index-addressed slices with no further locking;
-//   - the first fn error cancels the pool's context and wins (lowest
-//     index among recorded errors);
+//   - a fn error stops workers from claiming further indexes, while
+//     every index already claimed runs to completion on an uncancelled
+//     context — claims are in order, so all indexes below a failure
+//     finish and the lowest failing index wins deterministically;
 //   - cancelling ctx stops workers before their next claim and ForEach
 //     returns ctx.Err().
 func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
@@ -70,11 +71,10 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	if workers > n {
 		workers = n
 	}
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
 	errs := make([]error, n)
 	var next atomic.Int64
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -82,12 +82,12 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= n || pctx.Err() != nil {
+				if i >= n || failed.Load() || ctx.Err() != nil {
 					return
 				}
-				if err := fn(pctx, i); err != nil {
+				if err := fn(ctx, i); err != nil {
 					errs[i] = err
-					cancel()
+					failed.Store(true)
 					return
 				}
 			}
@@ -98,20 +98,10 @@ func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	// A worker can lose the race with cancel() and record a wrapped
-	// context.Canceled for a later index; the causing error must win.
-	var firstCancel error
 	for _, err := range errs {
-		if err == nil {
-			continue
+		if err != nil {
+			return err
 		}
-		if errors.Is(err, context.Canceled) {
-			if firstCancel == nil {
-				firstCancel = err
-			}
-			continue
-		}
-		return err
 	}
-	return firstCancel
+	return nil
 }

@@ -72,9 +72,15 @@ type NeighborPlan struct {
 //
 // Four mechanisms compose:
 //
-//   - a size-bounded LRU of completed plans (MaxEntries), with
-//     rendered-only fill entries (Fill, PutRendered) on a tier that
-//     evicts first, so a back-fill storm cannot evict hot solved plans;
+//   - a bounded LRU of completed plans, with rendered-only fill entries
+//     (Fill, PutRendered) on a tier that evicts first, so a back-fill
+//     storm cannot evict hot solved plans. Two bounds apply: the entry
+//     count (MaxEntries) and about 64 MiB of estimated retained bytes
+//     (each entry's rendering plus its scheme and per-node state), so a
+//     cache of 5k-node plans cannot pin gigabytes. A full cache of
+//     n=200 plans (~52 KB an entry, the mean of an n=100–300 mix) stays
+//     under the byte bound and evicts by count alone; n=300 entries
+//     weigh ~78 KB. At least one entry always stays;
 //   - Lookup: a stored rendering by content address, without the key
 //     function — one hash and one map lookup for a canonical body;
 //   - singleflight deduplication: concurrent identical requests
@@ -92,8 +98,9 @@ type NeighborPlan struct {
 // immutable. A Cache is safe for concurrent use. Attach one to a
 // request with WithCache; the service layer does so by default.
 type Cache struct {
-	key CacheKeyFunc
-	max int
+	key    CacheKeyFunc
+	max    int
+	budget int64 // bound on bytes; cacheBudget outside tests
 
 	mu       sync.Mutex
 	lru      *list.List // of *cacheEntry with a decoded plan, front = most recent
@@ -101,6 +108,7 @@ type Cache struct {
 	entries  map[[sha256.Size]byte]*list.Element
 	inflight map[[sha256.Size]byte]*flight
 	store    PlanStore
+	bytes    int64 // Σ weight over both tiers
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -117,7 +125,33 @@ type cacheEntry struct {
 	key      [sha256.Size]byte
 	plan     *Plan
 	rendered []byte
-	fill     bool // which list the element lives on
+	fill     bool  // which list the element lives on
+	weight   int64 // entryBytes when last weighed, counted in Cache.bytes
+}
+
+// cacheBudget bounds the estimated bytes a Cache retains across both
+// tiers (see the Cache doc).
+const cacheBudget = 64 << 20
+
+// entryBytes estimates the heap an entry pins: its rendering plus, for a
+// solved plan, the compacted scheme (16 B an arc) and the per-node state
+// the plan keeps alive (adjacency header, instance bandwidths and prefix
+// sums, word letter: ~64 B a node).
+func entryBytes(e *cacheEntry) int64 {
+	n := int64(len(e.rendered))
+	if p := e.plan; p != nil && p.Scheme != nil {
+		n += 16*int64(p.Edges) + 64*int64(p.Scheme.Instance().Total())
+	}
+	return n
+}
+
+// reweighLocked refreshes e's weight after its plan or rendering
+// changed, then enforces the bounds. Callers hold c.mu.
+func (c *Cache) reweighLocked(e *cacheEntry) {
+	w := entryBytes(e)
+	c.bytes += w - e.weight
+	e.weight = w
+	c.evictLocked()
 }
 
 // flight is one in-progress solve that followers wait on.
@@ -143,6 +177,7 @@ func NewCache(maxEntries int, key CacheKeyFunc) *Cache {
 	return &Cache{
 		key:      key,
 		max:      maxEntries,
+		budget:   cacheBudget,
 		lru:      list.New(),
 		fills:    list.New(),
 		entries:  make(map[[sha256.Size]byte]*list.Element),
@@ -449,6 +484,7 @@ func (c *Cache) attachRendering(k [sha256.Size]byte, plan *Plan, render RenderFu
 		e := el.Value.(*cacheEntry)
 		if e.rendered == nil {
 			e.rendered = out
+			c.reweighLocked(e)
 		} else {
 			out = e.rendered
 		}
@@ -468,7 +504,7 @@ func (c *Cache) touchLocked(el *list.Element) {
 }
 
 // insertLocked adds a completed plan (or, with plan == nil, a
-// rendered-only fill) and enforces the LRU bound. Callers hold c.mu.
+// rendered-only fill) and enforces the bounds. Callers hold c.mu.
 func (c *Cache) insertLocked(k [sha256.Size]byte, plan *Plan, rendered []byte) {
 	if el, ok := c.entries[k]; ok { // raced with another flight's insert
 		e := el.Value.(*cacheEntry)
@@ -483,11 +519,12 @@ func (c *Cache) insertLocked(k [sha256.Size]byte, plan *Plan, rendered []byte) {
 				c.fills.Remove(el)
 				e.fill = false
 				c.entries[k] = c.lru.PushFront(e)
-				c.evictLocked()
+				c.reweighLocked(e)
 				return
 			}
 		}
 		c.touchLocked(el)
+		c.reweighLocked(e)
 		return
 	}
 	e := &cacheEntry{key: k, plan: plan, rendered: rendered, fill: plan == nil}
@@ -496,24 +533,27 @@ func (c *Cache) insertLocked(k [sha256.Size]byte, plan *Plan, rendered []byte) {
 	} else {
 		c.entries[k] = c.lru.PushFront(e)
 	}
-	c.evictLocked()
+	c.reweighLocked(e)
 }
 
-// evictLocked enforces the bound over both tiers, dropping
-// rendered-only fills before solved plans: a fill is a small document
-// blob that is cheap to recover (the peer that pushed it still has it,
-// and with a store attached it is on disk), while a solved plan took a
-// full solve to build. Weighting them equally let a cluster back-fill
-// storm wash hot plans out of the cache. Callers hold c.mu.
+// evictLocked enforces the entry and byte bounds over both tiers,
+// dropping rendered-only fills before solved plans: a fill is a small
+// document blob that is cheap to recover (the peer that pushed it still
+// has it, and with a store attached it is on disk), while a solved plan
+// took a full solve to build. Weighting them equally let a cluster
+// back-fill storm wash hot plans out of the cache. The last entry is
+// never evicted, however large. Callers hold c.mu.
 func (c *Cache) evictLocked() {
-	for c.lru.Len()+c.fills.Len() > c.max {
+	for n := c.lru.Len() + c.fills.Len(); n > 1 && (n > c.max || c.bytes > c.budget); n-- {
 		from := c.fills
 		if from.Len() == 0 {
 			from = c.lru
 		}
 		oldest := from.Back()
 		from.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		e := oldest.Value.(*cacheEntry)
+		delete(c.entries, e.key)
+		c.bytes -= e.weight
 		c.evictions.Add(1)
 	}
 }
@@ -549,8 +589,10 @@ func (c *Cache) Fill(k [sha256.Size]byte, rendered []byte) {
 			e.rendered = rendered
 		}
 		c.touchLocked(el)
+		c.reweighLocked(e)
 		return
 	}
-	c.entries[k] = c.fills.PushFront(&cacheEntry{key: k, rendered: rendered, fill: true})
-	c.evictLocked()
+	e := &cacheEntry{key: k, rendered: rendered, fill: true}
+	c.entries[k] = c.fills.PushFront(e)
+	c.reweighLocked(e)
 }

@@ -7,11 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/distribution"
+	"repro/internal/generator"
 	"repro/internal/platform"
 )
 
@@ -652,5 +655,73 @@ func TestCacheStoreWarmErrorRetriesCold(t *testing.T) {
 	}
 	if plan.WarmStarted || plan.Repaired {
 		t.Fatalf("warm:%v repaired:%v, want a clean cold answer", plan.WarmStarted, plan.Repaired)
+	}
+}
+
+// TestCacheByteBudget: beside the entry bound, the cache keeps its
+// estimated bytes under the budget — fills first, oldest first — yet
+// never evicts its last entry, however large.
+func TestCacheByteBudget(t *testing.T) {
+	var calls atomic.Int64
+	r := countingRegistry(t, &calls)
+	c := NewCache(1024, testKeyFunc)
+	doc := 1000
+	render := func(p *Plan) ([]byte, error) { return make([]byte, doc), nil }
+	solve := func(b0 float64) {
+		t.Helper()
+		req := NewRequest(platform.MustInstance(b0, []float64{5, 5}, nil), WithSolver("acyclic"))
+		if _, _, err := c.ExecuteRendered(context.Background(), r, req, render); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve(6)
+	weight := c.bytes // one plan entry: the document plus its scheme estimate
+	if weight <= int64(doc) {
+		t.Fatalf("plan entry weighs %d, want more than its %d-byte document", weight, doc)
+	}
+	c.budget = 2 * weight
+	solve(7)
+	solve(8) // third plan: over budget, evicts b0=6
+	if st := c.Stats(); st.Entries != 2 || st.Evictions != 1 || c.bytes != 2*weight {
+		t.Fatalf("after 3 plans: %+v, bytes %d; want 2 entries, 1 eviction, %d bytes", st, c.bytes, 2*weight)
+	}
+	// A fill pushes the cache over budget: fills go first, so the plans stay.
+	c.Fill([sha256.Size]byte{1}, make([]byte, doc))
+	if st := c.Stats(); st.Entries != 2 || st.FillEntries != 0 || st.Evictions != 2 {
+		t.Fatalf("after fill: %+v; want the fill evicted, both plans kept", st)
+	}
+	solve(7)
+	solve(8)
+	if calls.Load() != 3 {
+		t.Fatalf("solver ran %d times, want 3 (b0=7 and 8 still cached)", calls.Load())
+	}
+	// A plan larger than the whole budget evicts everything else but stays.
+	doc = int(10 * weight)
+	solve(9)
+	if st := c.Stats(); st.Entries != 1 || st.FillEntries != 0 {
+		t.Fatalf("oversized plan: %+v; want it alone in the cache", st)
+	}
+	solve(9)
+	if calls.Load() != 4 {
+		t.Fatalf("solver ran %d times, want 4 (the oversized plan stays cached)", calls.Load())
+	}
+}
+
+// TestCacheByteBudgetSpareForPaperSizes: at the default budget a full
+// cache of n=200 plans (the mean of the n=100–300 /v1/solve mix),
+// rendered at ~33 KB each, stays under the byte bound and so evicts by
+// count alone.
+func TestCacheByteBudgetSpareForPaperSizes(t *testing.T) {
+	ins, err := generator.Random(distribution.Unif100(), 200, 0.6, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, s, err := core.SolveAcyclic(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &cacheEntry{plan: &Plan{Result: Result{Scheme: s, Edges: s.NumEdges()}}, rendered: make([]byte, 33<<10)}
+	if w := entryBytes(e); w*DefaultCacheEntries > cacheBudget {
+		t.Fatalf("an n=200 entry weighs %d B: %d of them exceed the %d B budget", w, DefaultCacheEntries, cacheBudget)
 	}
 }

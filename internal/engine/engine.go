@@ -269,11 +269,13 @@ func (f *funcSolver) solveWith(ctx context.Context, ins *platform.Instance, ws *
 
 // finishResult stamps the uniform Result fields a solve path fills in
 // after the algorithm returns: solver name, scheme-derived degree
-// statistics, the workspace evaluation delta and the wall clock.
+// statistics, the workspace evaluation delta and the wall clock. The
+// scheme is compacted here, before any cache or job can retain it.
 // Shared by the registry Solve path and the Session resolve path.
 func finishResult(res *Result, name string, evals core.WorkspaceStats, start time.Time) {
 	res.Solver = name
 	if res.Scheme != nil {
+		res.Scheme.Compact()
 		res.Edges = res.Scheme.NumEdges()
 		res.MaxOutDegree = res.Scheme.MaxOutDegree()
 		if res.Throughput > 0 {

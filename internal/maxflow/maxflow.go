@@ -18,10 +18,20 @@
 // sort that preserves each node's append order, so augmenting-path
 // discovery is bit-identical to the old representation). Every arc
 // carries its original capacity alongside the residual, so Reset is one
-// copy(cap, init) memcpy, and a Workspace holds the BFS/DFS scratch
-// (plus a reusable Network) so thousands of throughput evaluations run
-// with zero steady-state allocations. Node and arc counts must fit in
-// an int32 — ample headroom for the 100k-node workloads on the roadmap.
+// copy(cap, init) memcpy.
+//
+// Dinic layers backwards: each phase labels residual distances to t
+// from t, so only ancestors of t are labelled, and a bounded query that
+// stops after a few augmentations never walks the rest of the graph.
+// It admits exactly the arcs on shortest s–t paths, so it pushes the
+// same augmenting paths in the same order, with the same float64
+// roundings, as forward layering (kept as a test-only reference). A
+// Workspace holds the epoch-stamped per-node scratch (no per-phase
+// reset) and a reusable Network; the throughput functional records the
+// arcs each query pushes flow on and restores only those between
+// targets, so thousands of evaluations run with zero steady-state
+// allocations. Node and arc counts must fit in an int32 — ample
+// headroom for the 100k-node workloads on the roadmap.
 package maxflow
 
 import (
@@ -53,6 +63,11 @@ type Network struct {
 	rev   []int32   // global index of the paired reverse arc
 	cap   []float64 // residual capacity, consumed by Max
 	init  []float64 // original capacity, restored by Reset
+
+	// dirty: a Max, MaxBounded or Workspace.Max query pushed flow since
+	// the last Reset; only the throughput functional logs the arcs it
+	// touches, so it Resets a dirty network before relying on that log.
+	dirty bool
 
 	next []int32 // finalize scratch: per-node fill cursor
 }
@@ -141,18 +156,20 @@ func (g *Network) finalize() {
 		g.to[ri], g.rev[ri], g.cap[ri], g.init[ri] = u, fi, 0, 0
 	}
 	g.built = true
+	g.dirty = false
 }
 
 // Reset restores every residual capacity to its original value, undoing
 // all flow pushed by Max since construction — one flat memcpy on the
-// CSR capacity array, which is what keeps the min-over-targets
-// throughput functional cheap (it Resets once per target).
+// CSR capacity array. (Workspace.MinFromSourceCapped restores only the
+// arcs its queries touched instead.)
 func (g *Network) Reset() {
 	if !g.built {
 		g.finalize() // a fresh build is already in the reset state
 		return
 	}
 	copy(g.cap, g.init)
+	g.dirty = false
 }
 
 // Max computes the maximum flow from s to t with Dinic's algorithm.
@@ -160,6 +177,7 @@ func (g *Network) Reset() {
 // use a Workspace) for repeated queries.
 func (g *Network) Max(s, t int) float64 {
 	var w Workspace
+	g.dirty = true
 	return g.maxBounded(s, t, math.Inf(1), &w)
 }
 
@@ -170,21 +188,22 @@ func (g *Network) Max(s, t int) float64 {
 // so its exact value is irrelevant.
 func (g *Network) MaxBounded(s, t int, bound float64) float64 {
 	var w Workspace
+	g.dirty = true
 	return g.maxBounded(s, t, bound, &w)
 }
 
-// maxBounded runs bounded Dinic using w's scratch slices, with two
-// phase-level heuristics on top of the textbook algorithm (both prune
-// only provably-dead work, so augmenting-path order and every float64
-// rounding decision are unchanged):
-//
-//   - BFS truncation (the global-relabel analogue): the layering stops
-//     the moment t is labeled — nodes at deeper levels cannot lie on a
-//     shortest s-t path, so labeling them is wasted work;
-//   - dead-node retirement (the gap analogue): a node whose DFS visit
-//     exhausts all arcs without reaching t is unlabeled for the rest of
-//     the phase, and arcs into t's level that do not hit t itself are
-//     never entered.
+// maxBounded runs bounded Dinic on w's scratch. Each phase labels
+// dist(v), the residual distance from v to t, by a BFS from t over
+// reverse residual arcs that stops once s is labelled (layer); the DFS
+// then admits arc (v,w) iff dist(w) = dist(v)−1, which is exactly the
+// set of arcs on shortest s–t paths. Forward layering (distance from s)
+// admits those arcs plus dead ends the DFS abandons without pushing
+// flow, so both find the same augmenting paths in the same order, with
+// the same float64 roundings — but backward layering labels only
+// ancestors of t, and a bounded query that stops after a few
+// augmentations never pays for the rest of the graph. A node whose DFS
+// visit exhausts its arcs is retired for the phase (dist −1). Labels
+// are stamped with a per-phase epoch, so no per-phase O(n) reset runs.
 func (g *Network) maxBounded(s, t int, bound float64, w *Workspace) float64 {
 	if s == t {
 		return math.Inf(1)
@@ -193,41 +212,16 @@ func (g *Network) maxBounded(s, t int, bound float64, w *Workspace) float64 {
 		return 0
 	}
 	g.finalize()
-	level := w.ints(&w.level, g.n)
-	iter := w.ints(&w.iter, g.n)
-	queue := w.ints(&w.queue, g.n)[:0]
+	nodes := w.scratch(g.n)
+	src, dst := int32(s), int32(t)
 	var total float64
 	for {
-		// BFS layering, truncated once t is reached.
-		for i := range level {
-			level[i] = -1
-		}
-		queue = queue[:0]
-		queue = append(queue, s)
-		level[s] = 0
-	bfs:
-		for qi := 0; qi < len(queue); qi++ {
-			v := queue[qi]
-			lv := level[v] + 1
-			for ai := g.start[v]; ai < g.start[v+1]; ai++ {
-				to := g.to[ai]
-				if g.cap[ai] > Eps && level[to] < 0 {
-					level[to] = lv
-					if int(to) == t {
-						break bfs
-					}
-					queue = append(queue, int(to))
-				}
-			}
-		}
-		if level[t] < 0 {
+		ep := w.nextEpoch()
+		if !g.layer(src, dst, ep, nodes) {
 			return total
 		}
-		for i := range iter {
-			iter[i] = int(g.start[i])
-		}
 		for {
-			f := g.dfs(s, t, level[t], math.Inf(1), level, iter)
+			f := g.dfs(src, dst, math.Inf(1), ep, nodes, w)
 			if f <= Eps {
 				break
 			}
@@ -239,29 +233,57 @@ func (g *Network) maxBounded(s, t int, bound float64, w *Workspace) float64 {
 	}
 }
 
-// dfs pushes one blocking-flow augmentation from v toward t. iter holds
-// each node's resume position as a global arc index; tl is t's level
-// this phase (arcs into that level are dead ends unless they hit t).
-func (g *Network) dfs(v, t, tl int, f float64, level, iter []int) float64 {
+// layer labels residual distances to t for phase ep, breadth-first over
+// reverse arcs (u reaches v when the arc u→v, the twin of v's arc to u,
+// has residual capacity), and reports whether s was reached. Labelling
+// a node also rewinds its DFS cursor.
+func (g *Network) layer(s, t int32, ep uint32, nodes []node) bool {
+	nodes[t].stamp, nodes[t].dist, nodes[t].iter = ep, 0, g.start[t]
+	nodes[0].queue = t
+	tail := int32(1)
+	for qi := int32(0); qi < tail; qi++ {
+		v := nodes[qi].queue
+		dv := nodes[v].dist + 1
+		for ai := g.start[v]; ai < g.start[v+1]; ai++ {
+			u := g.to[ai]
+			if nodes[u].stamp == ep || g.cap[g.rev[ai]] <= Eps {
+				continue
+			}
+			nodes[u].stamp, nodes[u].dist, nodes[u].iter = ep, dv, g.start[u]
+			if u == s {
+				return true
+			}
+			nodes[tail].queue = u
+			tail++
+		}
+	}
+	return false
+}
+
+// dfs pushes one blocking-flow augmentation from v toward t along arcs
+// that step one label closer to t, recording every arc it pushes on.
+func (g *Network) dfs(v, t int32, f float64, ep uint32, nodes []node, w *Workspace) float64 {
 	if v == t {
 		return f
 	}
-	lv := level[v] + 1
-	end := int(g.start[v+1])
-	for ; iter[v] < end; iter[v]++ {
-		ai := iter[v]
-		to := int(g.to[ai])
-		if g.cap[ai] <= Eps || level[to] != lv || (lv == tl && to != t) {
+	nv := &nodes[v]
+	want := nv.dist - 1
+	end := g.start[v+1]
+	for ; nv.iter < end; nv.iter++ {
+		ai := nv.iter
+		to := g.to[ai]
+		if g.cap[ai] <= Eps || nodes[to].stamp != ep || nodes[to].dist != want {
 			continue
 		}
-		d := g.dfs(to, t, tl, math.Min(f, g.cap[ai]), level, iter)
+		d := g.dfs(to, t, math.Min(f, g.cap[ai]), ep, nodes, w)
 		if d > Eps {
 			g.cap[ai] -= d
 			g.cap[g.rev[ai]] += d
+			w.touch(ai)
 			return d
 		}
 	}
-	level[v] = -1 // dead this phase: no remaining arc reaches t
+	nv.dist = -1 // retired this phase: no remaining arc reaches t
 	return 0
 }
 
@@ -280,6 +302,7 @@ func (g *Network) Clone() *Network {
 		rev:     append([]int32(nil), g.rev...),
 		cap:     append([]float64(nil), g.cap...),
 		init:    append([]float64(nil), g.init...),
+		dirty:   g.dirty,
 	}
 }
 

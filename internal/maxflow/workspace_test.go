@@ -137,3 +137,61 @@ func TestWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state MinFromSource allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// sameCaps fails unless every residual capacity equals its original.
+func sameCaps(t *testing.T, what string, g *Network) {
+	t.Helper()
+	for ai := range g.cap {
+		if math.Float64bits(g.cap[ai]) != math.Float64bits(g.init[ai]) {
+			t.Fatalf("%s: arc %d residual %v, original %v", what, ai, g.cap[ai], g.init[ai])
+		}
+	}
+}
+
+// TestRestorePutsBackTouchedArcs: the touched-arc restore leaves the
+// network exactly at its original capacities, both when the list holds
+// every pushed arc and when it spills into a full copy.
+func TestRestorePutsBackTouchedArcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ws := NewWorkspace()
+	for trial := 0; trial < 100; trial++ {
+		n := 2 + rng.Intn(12)
+		g := randomNet(rng, n)
+		targets := make([]int, 0, n-1)
+		for v := 1; v < n; v++ {
+			targets = append(targets, v)
+		}
+		ws.MinFromSource(g, 0, targets)
+		sameCaps(t, "random", g)
+	}
+
+	// Two unit feeders share a long chain: the two augmenting paths
+	// record 2k+4 arcs against a reservation of k+4, forcing a spill.
+	const k = 10
+	ws = NewWorkspace()
+	g := NewNetwork(k + 4)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(0, 2, 1)
+	g.AddEdge(1, 3, 1)
+	g.AddEdge(2, 3, 1)
+	for v := 3; v < k+3; v++ {
+		g.AddEdge(v, v+1, 2)
+	}
+	ws.track(g)
+	if f := g.maxBounded(0, k+3, math.Inf(1), ws); f != 2 {
+		t.Fatalf("chain flow %v, want 2", f)
+	}
+	if !ws.spilled {
+		t.Fatalf("touched list held %d of cap %d without spilling", len(ws.touched), cap(ws.touched))
+	}
+	ws.restore(g)
+	sameCaps(t, "spilled", g)
+
+	// A network consumed by Network.Max is fully reset before the
+	// functional runs on it.
+	g.Max(0, k+3)
+	if f := ws.MinFromSource(g, 0, []int{k + 3}); f != 2 {
+		t.Fatalf("functional on a consumed network = %v, want 2", f)
+	}
+	sameCaps(t, "after Max", g)
+}

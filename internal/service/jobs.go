@@ -44,6 +44,7 @@ type job struct {
 
 	mu        sync.Mutex
 	lines     [][]byte // one NDJSON line per item; nil until complete
+	bytes     int64    // Σ len(lines)
 	completed int
 	errs      int
 	status    string
@@ -74,6 +75,7 @@ func (j *job) finishItem(i int, line []byte, failed bool) {
 	j.mu.Lock()
 	if j.lines[i] == nil {
 		j.lines[i] = line
+		j.bytes += int64(len(line))
 		j.completed++
 		if failed {
 			j.errs++
@@ -89,6 +91,13 @@ func (j *job) finish(status string) {
 	j.status = status
 	j.wakeLocked()
 	j.mu.Unlock()
+}
+
+// retained reports the job's NDJSON bytes and whether it has finished.
+func (j *job) retained() (bytes int64, finished bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.bytes, j.status != jobRunning
 }
 
 // wakeLocked rotates the broadcast channel. Callers hold j.mu.
@@ -176,13 +185,28 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(doc)
 }
 
-// evictFinishedJobsLocked drops the oldest finished jobs beyond
-// Config.MaxJobs retained. Running jobs are never evicted (their
+// finishedJobBudget bounds the NDJSON bytes finished jobs retain,
+// beside Config.MaxJobs: one job of 5k-node plans holds megabytes of
+// lines, so MaxJobs of them would pin far more than MaxJobs paper-sized
+// jobs.
+const finishedJobBudget = 16 << 20
+
+// evictFinishedJobsLocked drops the oldest finished jobs while more than
+// Config.MaxJobs jobs are retained or finished jobs hold more than
+// s.jobBudget bytes of lines. Running jobs are never evicted (their
 // workers hold gate permits; their ids stay resolvable). Callers hold
 // s.mu.
 func (s *Server) evictFinishedJobsLocked() {
 	excess := len(s.jobs) - s.cfg.MaxJobs
-	if excess <= 0 {
+	var held int64
+	for _, id := range s.jobOrder {
+		if j := s.jobs[id]; j != nil {
+			if b, finished := j.retained(); finished {
+				held += b
+			}
+		}
+	}
+	if excess <= 0 && held <= s.jobBudget {
 		return
 	}
 	kept := s.jobOrder[:0]
@@ -191,12 +215,10 @@ func (s *Server) evictFinishedJobsLocked() {
 		if j == nil {
 			continue
 		}
-		j.mu.Lock()
-		terminal := j.status != jobRunning
-		j.mu.Unlock()
-		if excess > 0 && terminal {
+		if b, finished := j.retained(); finished && (excess > 0 || held > s.jobBudget) {
 			delete(s.jobs, id)
 			excess--
+			held -= b
 			continue
 		}
 		kept = append(kept, id)

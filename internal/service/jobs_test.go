@@ -378,6 +378,67 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 }
 
+// TestFinishedJobByteBudget: beside MaxJobs, finished jobs are evicted
+// oldest first once their NDJSON lines exceed the byte budget; the job
+// just submitted (still running) is never evicted.
+func TestFinishedJobByteBudget(t *testing.T) {
+	srv := New(Config{Workers: 2})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	setBudget := func(b int64) {
+		srv.mu.Lock()
+		srv.jobBudget = b
+		srv.mu.Unlock()
+	}
+	gone := func(id string) bool {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusBadRequest
+	}
+
+	var ids []string
+	run := func() {
+		t.Helper()
+		id := submitJob(t, ts.URL, jobBatchBody(1))
+		waitJobDone(t, ts.URL, id)
+		ids = append(ids, id)
+	}
+	run()
+	srv.mu.Lock()
+	size, _ := srv.jobs[ids[0]].retained()
+	srv.mu.Unlock()
+	if size == 0 {
+		t.Fatal("finished job retains no line bytes")
+	}
+	setBudget(2 * size) // two identical finished jobs fit
+	run()
+	run()
+	run() // submitting the fourth sees three finished jobs: the oldest goes
+	if !gone(ids[0]) {
+		t.Error("oldest finished job survived the byte budget")
+	}
+	for _, id := range ids[1:] {
+		if gone(id) {
+			t.Errorf("job %s evicted within budget", id)
+		}
+	}
+	setBudget(0)
+	last := submitJob(t, ts.URL, jobBatchBody(1))
+	for _, id := range ids[1:] {
+		if !gone(id) {
+			t.Errorf("finished job %s kept over a zero budget", id)
+		}
+	}
+	if gone(last) {
+		t.Error("the just-submitted job was evicted")
+	}
+	waitJobDone(t, ts.URL, last)
+}
+
 // ---------------------------------------------------------------------------
 // Cache behavior through the service
 

@@ -81,7 +81,9 @@ type Config struct {
 	CacheSize int
 	// MaxJobs caps how many finished jobs are retained for status and
 	// stream reads (oldest finished evicted first; running jobs are
-	// never evicted). ≤ 0 means 64.
+	// never evicted). ≤ 0 means 64. Finished jobs are also evicted,
+	// oldest first, while their NDJSON lines total more than 16 MiB, so
+	// jobs of large-n plans retain fewer than MaxJobs.
 	MaxJobs int
 	// Self is this replica's advertised base URL (e.g.
 	// "http://10.0.0.1:8080"). Non-empty Self enables the cluster layer:
@@ -156,6 +158,7 @@ type Server struct {
 	closed    bool
 	jobs      map[string]*job
 	jobOrder  []string // creation order, for finished-job eviction
+	jobBudget int64    // finished jobs' line bytes; finishedJobBudget outside tests
 	nextJobID int64
 	requests  map[string]*atomic.Int64 // per-endpoint request counters
 	errorsN   atomic.Int64
@@ -206,13 +209,14 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.HedgeAfter = DefaultHedgeAfter
 	}
 	s := &Server{
-		cfg:      cfg,
-		gate:     make(chan struct{}, cfg.Workers),
-		mux:      http.NewServeMux(),
-		sessions: make(map[string]*session),
-		jobs:     make(map[string]*job),
-		peers:    make(map[string]*client.Client),
-		requests: make(map[string]*atomic.Int64),
+		cfg:       cfg,
+		gate:      make(chan struct{}, cfg.Workers),
+		mux:       http.NewServeMux(),
+		sessions:  make(map[string]*session),
+		jobs:      make(map[string]*job),
+		jobBudget: finishedJobBudget,
+		peers:     make(map[string]*client.Client),
+		requests:  make(map[string]*atomic.Int64),
 	}
 	if cfg.Self != "" {
 		s.node = cluster.NewNode(cfg.Self, cfg.Peers, cfg.VNodes)
