@@ -753,7 +753,10 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
-	c := client.New(ts.URL)
+	c, err := client.NewFromConfig(client.Config{Endpoints: []string{ts.URL}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	req := repro.NewRequest(repro.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1}),
 		repro.WithSolver("acyclic"), repro.WithTolerance(1e-9))
 	ctx := context.Background()

@@ -4,7 +4,7 @@
 // back onto the engine's typed sentinels, so remote failures branch
 // exactly like local ones:
 //
-//	c := client.New("http://planner:8080")
+//	c, err := client.NewFromConfig(client.Config{Endpoints: []string{"http://planner:8080"}})
 //	plan, err := c.Solve(ctx, engine.NewRequest(ins, engine.WithSolver("acyclic")))
 //	if errors.Is(err, engine.ErrInfeasible) { ... } // works across the network
 //
@@ -113,8 +113,8 @@ type Config struct {
 }
 
 // Client talks to a bmpcast service — one replica or a cluster of
-// them. Create with New or NewFromConfig; a Client is safe for
-// concurrent use.
+// them. Create with NewFromConfig; a Client is safe for concurrent
+// use.
 type Client struct {
 	httpc   *http.Client
 	retries int           // extra attempts after the first
@@ -127,59 +127,10 @@ type Client struct {
 	ring      *cluster.Ring
 }
 
-// Option tunes a Config under construction (the functional-option
-// style predating Config; options remain first-class and are applied
-// on top of the config New builds).
-type Option func(*Config)
-
-// WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports, instrumentation).
-func WithHTTPClient(h *http.Client) Option { return func(c *Config) { c.HTTPClient = h } }
-
-// WithRetry sets how many times an idempotent call is retried after a
-// transport error or 5xx response (default 2), and the initial backoff
-// delay, doubled per retry cycle (default 100ms). retries 0 disables
-// retrying.
-func WithRetry(retries int, backoff time.Duration) Option {
-	return func(c *Config) {
-		if retries == 0 {
-			retries = -1 // Config's explicit "no retries"
-		}
-		c.Retry = Retry{Retries: retries, Backoff: backoff}
-	}
-}
-
-// WithHedge enables hedged requests: a second attempt races against
-// the next replica in ring order after the owner has been silent for
-// after. Meaningful only with multiple endpoints.
-func WithHedge(after time.Duration) Option {
-	return func(c *Config) { c.Hedge = Hedge{After: after} }
-}
-
-// New builds a client for the single service at base (e.g.
-// "http://127.0.0.1:8080"; a trailing slash is tolerated). It is the
-// compatibility constructor — New(base, opts...) is exactly
-// NewFromConfig(Config{Endpoints: []string{base}}) with opts applied;
-// new code with more than one endpoint should use NewFromConfig
-// directly (see DESIGN.md for the migration path).
-func New(base string, opts ...Option) *Client {
-	cfg := Config{Endpoints: []string{base}}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	c, err := NewFromConfig(cfg)
-	if err != nil {
-		// Unreachable: the one constructor error is "no endpoints" and
-		// base is always present (an unresolvable base fails per-call,
-		// as it always has).
-		panic(err)
-	}
-	return c
-}
-
 // NewFromConfig builds a client from an explicit Config. It errors
-// when no endpoint is configured; every other field defaults from its
-// zero value.
+// when no endpoint is configured (entries that normalize to empty do
+// not count); every other field defaults from its zero value. An
+// unresolvable endpoint fails per call, not here.
 func NewFromConfig(cfg Config) (*Client, error) {
 	eps := make([]string, 0, len(cfg.Endpoints))
 	seen := make(map[string]bool, len(cfg.Endpoints))

@@ -23,13 +23,23 @@ func fig1() *platform.Instance {
 	return platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 }
 
+// connect builds a single-endpoint client for base with retry policy r.
+func connect(t *testing.T, base string, r client.Retry) *client.Client {
+	t.Helper()
+	c, err := client.NewFromConfig(client.Config{Endpoints: []string{base}, Retry: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // newService spins an in-process daemon and a client wired to it.
 func newService(t *testing.T) (*service.Server, *client.Client) {
 	t.Helper()
 	srv := service.New(service.Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return srv, client.New(ts.URL, client.WithRetry(2, time.Millisecond))
+	return srv, connect(t, ts.URL, client.Retry{Retries: 2, Backoff: time.Millisecond})
 }
 
 func TestSolveMatchesLocalExecute(t *testing.T) {
@@ -216,7 +226,7 @@ func TestRetryRidesThroughTransientFailures(t *testing.T) {
 	ts := httptest.NewServer(proxy)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
-	c := client.New(ts.URL, client.WithRetry(3, time.Millisecond))
+	c := connect(t, ts.URL, client.Retry{Retries: 3, Backoff: time.Millisecond})
 	plan, err := c.Solve(context.Background(), engine.NewRequest(fig1(), engine.WithSolver("acyclic")))
 	if err != nil {
 		t.Fatalf("solve through flaky proxy: %v", err)
@@ -234,7 +244,7 @@ func TestRetryGivesUpWithinBudget(t *testing.T) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(always.Close)
-	c := client.New(always.URL, client.WithRetry(1, time.Millisecond))
+	c := connect(t, always.URL, client.Retry{Retries: 1, Backoff: time.Millisecond})
 	_, err := c.Solve(context.Background(), engine.NewRequest(fig1()))
 	if err == nil {
 		t.Fatal("solve against a dead service succeeded")
@@ -249,7 +259,7 @@ func TestTypedFailuresAreNotRetried(t *testing.T) {
 		srv.ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() { counting.Close(); srv.Close() })
-	c := client.New(counting.URL, client.WithRetry(3, time.Millisecond))
+	c := connect(t, counting.URL, client.Retry{Retries: 3, Backoff: time.Millisecond})
 	_, err := c.Solve(context.Background(), engine.NewRequest(fig1(), engine.WithSolver("nope")))
 	if !errors.Is(err, engine.ErrUnknownSolver) {
 		t.Fatal(err)
@@ -264,7 +274,7 @@ func TestContextCancelsBackoff(t *testing.T) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
 	t.Cleanup(always.Close)
-	c := client.New(always.URL, client.WithRetry(5, time.Hour)) // backoff would block for hours
+	c := connect(t, always.URL, client.Retry{Retries: 5, Backoff: time.Hour}) // backoff would block for hours
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -288,7 +298,7 @@ func TestStreamDisconnectLeavesNoWorkspaceLeaked(t *testing.T) {
 	srv := service.New(service.Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	c := client.New(ts.URL, client.WithRetry(2, time.Millisecond))
+	c := connect(t, ts.URL, client.Retry{Retries: 2, Backoff: time.Millisecond})
 	ctx := context.Background()
 	var reqs []client.Request
 	for i := 0; i < 8; i++ {
@@ -362,7 +372,7 @@ func TestHealthz(t *testing.T) {
 	if err := c.Healthz(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	dead := client.New("http://127.0.0.1:1", client.WithRetry(0, time.Millisecond))
+	dead := connect(t, "http://127.0.0.1:1", client.Retry{Retries: -1, Backoff: time.Millisecond})
 	if err := dead.Healthz(context.Background()); err == nil {
 		t.Fatal("healthz against nothing succeeded")
 	}
@@ -372,9 +382,30 @@ func TestBaseURLTrailingSlash(t *testing.T) {
 	srv := service.New(service.Config{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	c := client.New(ts.URL + "/")
+	c := connect(t, ts.URL+"/", client.Retry{})
 	if err := c.Healthz(context.Background()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNewFromConfigRejectsEmptyEndpoints: a config that names no usable
+// endpoint is an error, never a panic.
+func TestNewFromConfigRejectsEmptyEndpoints(t *testing.T) {
+	for _, cfg := range []client.Config{
+		{},
+		{Endpoints: []string{""}},
+		{Endpoints: []string{"/", " "}},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("NewFromConfig(%q) panicked: %v", cfg.Endpoints, r)
+				}
+			}()
+			if c, err := client.NewFromConfig(cfg); err == nil {
+				t.Fatalf("NewFromConfig(%q) = %v, want an error", cfg.Endpoints, c.Endpoints())
+			}
+		}()
 	}
 }
 
@@ -388,7 +419,7 @@ func TestSolveSurfacesWarmStart(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	c := client.New(ts.URL)
+	c := connect(t, ts.URL, client.Retry{})
 	ctx := context.Background()
 
 	cold, err := c.Solve(ctx, engine.NewRequest(fig1(), engine.WithSolver("acyclic"), engine.WithTolerance(1e-9)))

@@ -325,9 +325,9 @@ func solve(out io.Writer, ins *platform.Instance, solverName string, cyclic, ver
 		var cs *core.Scheme
 		achieved := tstar
 		if ins.M() == 0 {
-			cs, err = core.CyclicOpen(ins, tstar)
+			cs, err = core.CyclicOpenWithWorkspace(ins, tstar, nil)
 		} else {
-			cs, achieved, err = core.PackCyclicGuarded(ins, tstar)
+			cs, achieved, err = core.PackCyclicGuardedWithWorkspace(ins, tstar, nil)
 		}
 		if err != nil {
 			return err
@@ -615,7 +615,7 @@ func cmdSimulate(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	T, scheme, err := core.SolveAcyclic(ins)
+	T, scheme, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		return err
 	}

@@ -99,7 +99,7 @@ func TestAcyclicOpenMatchesGeneralSearch(t *testing.T) {
 		n := 1 + rng.Intn(10)
 		ins := randomOpenInstance(rng, n)
 		want := AcyclicOpenOptimalThroughput(ins)
-		got, _, err := OptimalAcyclicThroughput(ins)
+		got, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

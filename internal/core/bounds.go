@@ -32,7 +32,7 @@ func OptimalCyclicThroughput(ins *platform.Instance) float64 {
 // S_{n-1} = b0 + b1 + ... + b_{n-1} (nodes sorted non-increasing, so the
 // smallest node's bandwidth is the one "wasted" by the last node of any
 // topological order). It panics when the instance has guarded nodes —
-// use OptimalAcyclicThroughput for the general case.
+// use OptimalAcyclicThroughputWithWorkspace for the general case.
 func AcyclicOpenOptimalThroughput(ins *platform.Instance) float64 {
 	if ins.M() != 0 {
 		panic("core: AcyclicOpenOptimalThroughput requires an open-only instance")

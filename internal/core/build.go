@@ -47,11 +47,11 @@ func (q *queue) totalRem() float64 {
 	return s
 }
 
-// BuildScheme turns a valid encoding word into a concrete low-degree
-// broadcast scheme of throughput T (Lemma 4.6). Nodes are satisfied in
-// word order; every receiver is fed by the earliest placed nodes with
-// unused upload bandwidth, with guarded capacity used before open
-// capacity for open receivers (conservative solutions, Lemma 4.3).
+// BuildSchemeWithWorkspace turns a valid encoding word into a concrete
+// low-degree broadcast scheme of throughput T (Lemma 4.6). Nodes are
+// satisfied in word order; every receiver is fed by the earliest placed
+// nodes with unused upload bandwidth, with guarded capacity used before
+// open capacity for open receivers (conservative solutions, Lemma 4.3).
 // The firewall constraint is structural: guarded receivers only draw
 // from the open queue.
 //
@@ -60,13 +60,10 @@ func (q *queue) totalRem() float64 {
 // most one open node and o_i ≤ ⌈b_i/T⌉+2 for the others.
 //
 // It returns an error when the word cannot support throughput T.
-func BuildScheme(ins *platform.Instance, w Word, T float64) (*Scheme, error) {
-	return BuildSchemeWithWorkspace(ins, w, T, nil)
-}
-
-// BuildSchemeWithWorkspace is BuildScheme with the supplier queues taken
-// from ws; the scheme itself is freshly allocated (it escapes to the
-// caller), but the construction's transient state reuses the workspace.
+//
+// The supplier queues come from ws (nil means a private workspace); the
+// scheme itself is freshly allocated (it escapes to the caller), but the
+// construction's transient state reuses the workspace.
 func BuildSchemeWithWorkspace(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error) {
 	if err := w.Validate(ins); err != nil {
 		return nil, err
@@ -141,48 +138,41 @@ func BuildSchemeWithWorkspace(ins *platform.Instance, w Word, T float64, ws *Wor
 	return scheme, nil
 }
 
-// SolveAcyclic computes the optimal acyclic throughput and materializes
-// the corresponding low-degree scheme — the end-to-end pipeline of
-// Section IV (GreedyTest + dichotomic search + Lemma 4.6 construction).
-func SolveAcyclic(ins *platform.Instance) (float64, *Scheme, error) {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
-	return SolveAcyclicWithWorkspace(ins, ws)
-}
-
-// SolveAcyclicWithWorkspace is the full acyclic pipeline (search +
-// construction) on one reusable workspace.
-func SolveAcyclicWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
-	T, s, _, err := SolveAcyclicWordWithWorkspace(ins, ws)
-	return T, s, err
-}
-
-// SolveAcyclicWordWithWorkspace is SolveAcyclicWithWorkspace keeping
-// the winning encoding word — the witness a caller retains to
-// warm-start a later RepairAcyclic (sessions do between churn events,
-// the plan store does across daemon restarts).
+// SolveAcyclicWordWithWorkspace computes the optimal acyclic throughput
+// and materializes the corresponding low-degree scheme — the end-to-end
+// pipeline of Section IV (GreedyTest + dichotomic search + Lemma 4.6
+// construction) on one reusable workspace (nil means a private one). It
+// also returns the winning encoding word — the witness a caller retains
+// to warm-start a later RepairAcyclicWithWorkspace (sessions do between
+// churn events, the plan store does across daemon restarts).
 func SolveAcyclicWordWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, *Scheme, Word, error) {
 	ws = ws.ensure()
 	T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	T, s, err := buildSchemeShaved(ins, w, T, ws)
+	T, s, err := BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	return T, s, w, nil
 }
 
-// buildSchemeShaved materializes word w at throughput T, retrying a
-// hair below when float dust makes the exact optimum infeasible — the
-// one retry policy shared by the full solve and both repair paths. It
-// returns the throughput actually built (possibly shaved).
-func buildSchemeShaved(ins *platform.Instance, w Word, T float64, ws *Workspace) (float64, *Scheme, error) {
-	scheme, err := BuildSchemeWithWorkspace(ins, w, T, ws)
+// SchemeBuilder materializes an encoding word at a throughput:
+// BuildSchemeWithWorkspace, or a variant such as the depth-aware
+// builder.
+type SchemeBuilder func(ins *platform.Instance, w Word, T float64, ws *Workspace) (*Scheme, error)
+
+// BuildSchemeShaved materializes word w at throughput T with build,
+// retrying a hair below when float dust makes the exact optimum
+// infeasible — the one retry policy shared by the full solve, repair and
+// the engine's word-based solvers. It returns the throughput actually
+// built (possibly shaved).
+func BuildSchemeShaved(ins *platform.Instance, w Word, T float64, ws *Workspace, build SchemeBuilder) (float64, *Scheme, error) {
+	scheme, err := build(ins, w, T, ws)
 	if err != nil {
 		T *= 1 - 1e-12
-		if scheme, err = BuildSchemeWithWorkspace(ins, w, T, ws); err != nil {
+		if scheme, err = build(ins, w, T, ws); err != nil {
 			return 0, nil, err
 		}
 	}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/platform"
 )
 
-// CyclicOpen implements the Theorem 5.2 constructor: for an instance
+// CyclicOpenWithWorkspace implements the Theorem 5.2 constructor: for an instance
 // without guarded nodes and a target throughput
 // T ≤ T* = min(b0, (b0+O)/n), it builds a (generally cyclic) scheme of
 // throughput T in which every node has outdegree
@@ -21,14 +21,11 @@ import (
 //  2. insert the remaining nodes one by one, rerouting small flows so
 //     the last two inserted nodes always exchange a total of exactly T
 //     (invariants (P1)–(P4) of the proof).
-func CyclicOpen(ins *platform.Instance, T float64) (*Scheme, error) {
-	return CyclicOpenWithWorkspace(ins, T, nil)
-}
-
-// CyclicOpenWithWorkspace is CyclicOpen with transient state (the
-// reroute step's in-edge scan) on reusable scratch — the phase-2
-// insertion no longer materializes the whole communication graph to
-// read one node's in-edges.
+//
+// Transient state (the reroute step's in-edge scan) lives on ws (nil
+// means a private workspace) — the phase-2 insertion does not
+// materialize the whole communication graph to read one node's
+// in-edges.
 func CyclicOpenWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, error) {
 	if ins.M() != 0 {
 		return nil, fmt.Errorf("core: CyclicOpen requires an open-only instance, got m=%d", ins.M())
@@ -152,14 +149,11 @@ func CyclicOpenWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) (
 	return scheme, nil
 }
 
-// SolveCyclicOpen builds the optimal-throughput cyclic scheme for an
+// SolveCyclicOpenWithWorkspace builds the optimal-throughput cyclic scheme for an
 // open-only instance: T* = min(b0, (b0+O)/n) (Lemma 5.1 with m = 0),
 // achieved with outdegrees ≤ max(⌈b_i/T*⌉+2, 4) (Theorem 5.2).
-func SolveCyclicOpen(ins *platform.Instance) (float64, *Scheme, error) {
-	return SolveCyclicOpenWithWorkspace(ins, nil)
-}
-
-// SolveCyclicOpenWithWorkspace is SolveCyclicOpen on reusable scratch.
+//
+// A nil ws means a private workspace.
 func SolveCyclicOpenWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, *Scheme, error) {
 	T := OptimalCyclicThroughput(ins)
 	s, err := CyclicOpenWithWorkspace(ins, T, ws)

@@ -14,7 +14,7 @@ func TestCyclicFigure12(t *testing.T) {
 	if opt := OptimalCyclicThroughput(ins); !almostEq(opt, 5) {
 		t.Fatalf("T* = %v, want 5", opt)
 	}
-	s, err := CyclicOpen(ins, 5)
+	s, err := CyclicOpenWithWorkspace(ins, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestCyclicFigure17(t *testing.T) {
 	if opt := OptimalCyclicThroughput(ins); !almostEq(opt, 5) {
 		t.Fatalf("T* = %v, want 5", opt)
 	}
-	s, err := CyclicOpen(ins, 5)
+	s, err := CyclicOpenWithWorkspace(ins, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestCyclicOpenProperty(t *testing.T) {
 		n := 1 + rng.Intn(15)
 		ins := randomOpenInstance(rng, n)
 		T := OptimalCyclicThroughput(ins)
-		s, err := CyclicOpen(ins, T)
+		s, err := CyclicOpenWithWorkspace(ins, T, nil)
 		if err != nil {
 			t.Fatalf("trial %d (%v, T=%v): %v", trial, ins, T, err)
 		}
@@ -105,7 +105,7 @@ func TestCyclicOpenBelowOptimum(t *testing.T) {
 		n := 2 + rng.Intn(12)
 		ins := randomOpenInstance(rng, n)
 		T := OptimalCyclicThroughput(ins) * (0.2 + 0.8*rng.Float64())
-		s, err := CyclicOpen(ins, T)
+		s, err := CyclicOpenWithWorkspace(ins, T, nil)
 		if err != nil {
 			t.Fatalf("trial %d (T=%v): %v", trial, T, err)
 		}
@@ -136,11 +136,11 @@ func TestCyclicVsAcyclicOpenRatio(t *testing.T) {
 // TestCyclicOpenRejects: guarded instances and excessive T are refused.
 func TestCyclicOpenRejects(t *testing.T) {
 	guarded := platform.MustInstance(4, []float64{2}, []float64{1})
-	if _, err := CyclicOpen(guarded, 1); err == nil {
+	if _, err := CyclicOpenWithWorkspace(guarded, 1, nil); err == nil {
 		t.Fatal("expected error on guarded instance")
 	}
 	open := platform.MustInstance(5, []float64{5, 3, 2}, nil)
-	if _, err := CyclicOpen(open, 5.1); err == nil {
+	if _, err := CyclicOpenWithWorkspace(open, 5.1, nil); err == nil {
 		t.Fatal("expected error above T*")
 	}
 }

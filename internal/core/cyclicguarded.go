@@ -8,7 +8,7 @@ import (
 	"repro/internal/platform"
 )
 
-// PackCyclicGuarded approaches the optimal cyclic throughput of Lemma
+// PackCyclicGuardedWithWorkspace approaches the optimal cyclic throughput of Lemma
 // 5.1 on general (open + guarded) instances — the fourth quadrant of the
 // paper's problem grid, where optimal solutions may require arbitrarily
 // large degrees (Section V, Figure 6) and the paper gives no explicit
@@ -39,13 +39,11 @@ import (
 // It returns the packed scheme and the throughput actually certified
 // (≤ T). Tests measure the optimality gap; on every instance family we
 // draw it is < 1e-6 relative.
-func PackCyclicGuarded(ins *platform.Instance, T float64) (*Scheme, float64, error) {
-	return PackCyclicGuardedWithWorkspace(ins, T, nil)
-}
-
-// PackCyclicGuardedWithWorkspace is the packer on reusable scratch: the
-// residual-capacity vector, the per-peel supplier pools, the pending
-// rate list and every feasibility probe's word buffer come from ws.
+//
+// The packer runs on reusable scratch (nil ws means a private
+// workspace): the residual-capacity vector, the per-peel supplier pools,
+// the pending rate list and every feasibility probe's word buffer come
+// from ws.
 func PackCyclicGuardedWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) (*Scheme, float64, error) {
 	if T <= 0 {
 		return nil, 0, fmt.Errorf("core: PackCyclicGuarded needs positive throughput, got %v", T)

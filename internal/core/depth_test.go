@@ -19,12 +19,12 @@ func TestDepthAwareSameFeasibility(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		T, w, err := OptimalAcyclicThroughput(ins)
+		T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		T *= 1 - 1e-12
-		a, errA := BuildScheme(ins, w, T)
+		a, errA := BuildSchemeWithWorkspace(ins, w, T, nil)
 		b, errB := BuildSchemeDepthAware(ins, w, T)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: feasibility differs: earliest=%v depth-aware=%v", trial, errA, errB)
@@ -57,12 +57,12 @@ func TestDepthAwareNeverDeeper(t *testing.T) {
 		nn := 2 + rng.Intn(12)
 		mm := rng.Intn(12)
 		ins := randomMixedInstance(rng, nn, mm)
-		T, w, err := OptimalAcyclicThroughput(ins)
+		T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		T *= 1 - 1e-12
-		a, err := BuildScheme(ins, w, T)
+		a, err := BuildSchemeWithWorkspace(ins, w, T, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,13 +12,13 @@
 //   - GreedyTest (Algorithm 2) — linear-time feasibility test returning a
 //     valid encoding word (Section IV-B), with an execution-trace variant
 //     reproducing Table I;
-//   - BuildScheme — the low-degree scheme construction from a word
-//     (Lemma 4.6: guarded ≤ ⌈b_j/T⌉+1, one open ≤ ⌈b_i/T⌉+3, all other
-//     open ≤ ⌈b_i/T⌉+2);
-//   - OptimalAcyclicThroughput — dichotomic search over GreedyTest
-//     (Theorem 4.1);
-//   - CyclicOpen — the cyclic constructor for open-only instances with
-//     outdegree ≤ max(⌈b_i/T⌉+2, 4) (Theorem 5.2);
+//   - BuildSchemeWithWorkspace — the low-degree scheme construction from
+//     a word (Lemma 4.6: guarded ≤ ⌈b_j/T⌉+1, one open ≤ ⌈b_i/T⌉+3,
+//     all other open ≤ ⌈b_i/T⌉+2);
+//   - OptimalAcyclicThroughputWithWorkspace — dichotomic search over
+//     GreedyTest (Theorem 4.1);
+//   - CyclicOpenWithWorkspace — the cyclic constructor for open-only
+//     instances with outdegree ≤ max(⌈b_i/T⌉+2, 4) (Theorem 5.2);
 //   - Omega1/Omega2 — the canonical encoding words of Theorem 6.2's case
 //     analysis, plus per-word optimal throughput (exact and float64);
 //   - ExhaustiveAcyclicOptimum — brute-force ground truth over all

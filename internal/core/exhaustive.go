@@ -71,7 +71,7 @@ func ExhaustiveAcyclicOptimumFloat(ins *platform.Instance) (float64, Word, error
 	var rec func(openLeft, guardedLeft int)
 	rec = func(openLeft, guardedLeft int) {
 		if openLeft == 0 && guardedLeft == 0 {
-			if t := WordThroughput(ins, word); t > best {
+			if t := WordThroughputWithWorkspace(ins, word, nil); t > best {
 				best = t
 				bestWord = append(Word(nil), word...)
 			}

@@ -51,7 +51,7 @@ func TestOrderThroughputMatchesWordOnIncreasingOrders(t *testing.T) {
 		}
 		rng.Shuffle(len(word), func(i, j int) { word[i], word[j] = word[j], word[i] })
 		got := OrderThroughput(ins, word.Order(ins))
-		want := WordThroughput(ins, word)
+		want := WordThroughputWithWorkspace(ins, word, nil)
 		if !almostEq(got, want) {
 			t.Fatalf("trial %d: order eval %v ≠ word eval %v (word %s)", trial, got, want, word)
 		}
@@ -102,11 +102,11 @@ func TestBuildSchemeIsConservative(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		T, w, err := OptimalAcyclicThroughput(ins)
+		T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BuildScheme(ins, w, T*(1-1e-12))
+		s, err := BuildSchemeWithWorkspace(ins, w, T*(1-1e-12), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

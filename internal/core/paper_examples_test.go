@@ -82,7 +82,7 @@ func TestFigure2WordThroughput(t *testing.T) {
 	if got := w.OrderString(ins); got != "031245" {
 		t.Fatalf("order = %s, want 031245", got)
 	}
-	tw := WordThroughput(ins, w)
+	tw := WordThroughputWithWorkspace(ins, w, nil)
 	if !almostEq(tw, 4) {
 		t.Fatalf("WordThroughput(■○○■■) = %v, want 4", tw)
 	}
@@ -134,7 +134,7 @@ func TestFigure5Scheme(t *testing.T) {
 	if !ok {
 		t.Fatal("GreedyTest(4) failed")
 	}
-	s, err := BuildScheme(ins, word, 4)
+	s, err := BuildSchemeWithWorkspace(ins, word, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func assertGuardedOpenDegrees(t *testing.T, ins *platform.Instance, s *Scheme, T
 // TestFigure1AcyclicOptimum: the dichotomic search should find T*_ac = 4.
 func TestFigure1AcyclicOptimum(t *testing.T) {
 	ins := figure1()
-	T, w, err := OptimalAcyclicThroughput(ins)
+	T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

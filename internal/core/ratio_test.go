@@ -17,7 +17,7 @@ func TestWorstCase57(t *testing.T) {
 	if tc := OptimalCyclicThroughput(ins); !almostEq(tc, 1) {
 		t.Fatalf("T* = %v, want 1", tc)
 	}
-	tac, w, err := OptimalAcyclicThroughput(ins)
+	tac, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +28,11 @@ func TestWorstCase57(t *testing.T) {
 	// σ2 = ■○■ reaches 3/4 − ε/2.
 	eps := 1.0 / 14
 	w1, _ := ParseWord("ogg")
-	if got := WordThroughput(ins, w1); !almostEq(got, (2.0/3)*(1+eps)) {
+	if got := WordThroughputWithWorkspace(ins, w1, nil); !almostEq(got, (2.0/3)*(1+eps)) {
 		t.Errorf("T*_ac(σ1) = %v, want %v", got, (2.0/3)*(1+eps))
 	}
 	w2, _ := ParseWord("gog")
-	if got := WordThroughput(ins, w2); !almostEq(got, 3.0/4-eps/2) {
+	if got := WordThroughputWithWorkspace(ins, w2, nil); !almostEq(got, 3.0/4-eps/2) {
 		t.Errorf("T*_ac(σ2) = %v, want %v", got, 3.0/4-eps/2)
 	}
 }
@@ -42,7 +42,7 @@ func TestWorstCase57(t *testing.T) {
 func TestWorstCase57OtherEps(t *testing.T) {
 	for _, eps := range []float64{0.01, 0.05, 1.0 / 14, 0.1, 0.2} {
 		ins := generator.WorstCase57(eps)
-		tac, _, err := OptimalAcyclicThroughput(ins)
+		tac, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestFiveSeventhBoundRandom(t *testing.T) {
 		if tc <= 0 {
 			continue
 		}
-		tac, _, err := OptimalAcyclicThroughput(ins)
+		tac, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -93,7 +93,7 @@ func TestSqrt41Family(t *testing.T) {
 		if tc := OptimalCyclicThroughput(ins); !almostEq(tc, 1) {
 			t.Fatalf("k=%d: T* = %v, want 1", k, tc)
 		}
-		tac, _, err := OptimalAcyclicThroughput(ins)
+		tac, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestFigure6UnboundedDegree(t *testing.T) {
 		t.Fatalf("⌈b0/T*⌉ = %d, want 1", lb)
 	}
 	// Acyclic optimum is strictly below 1 on this instance.
-	tac, _, err := OptimalAcyclicThroughput(ins)
+	tac, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTightHomogeneousRatioFloor(t *testing.T) {
 				if !almostEq(tc, 1) {
 					t.Fatalf("n=%d m=%d Δ=%v: T* = %v, want 1 (tight)", n, m, frac*float64(n), tc)
 				}
-				tac, _, err := OptimalAcyclicThroughput(ins)
+				tac, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -212,7 +212,7 @@ func TestCanonicalWordsBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				best, w, err := BestCanonicalThroughput(ins)
+				best, w, err := BestCanonicalThroughputWithWorkspace(ins, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

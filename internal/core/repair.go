@@ -10,15 +10,16 @@ import (
 //
 // The churn simulator mutates a live instance (node arrivals,
 // departures, bandwidth rescales) and needs the new optimal acyclic
-// scheme after every event. A full SolveAcyclic dichotomic search
-// brackets T*_ac from scratch with ~100 Algorithm 2 probes; after a
-// small mutation the previous solution is usually still nearly
-// optimal, so RepairAcyclic warm-starts the search instead:
+// scheme after every event. A full SolveAcyclicWordWithWorkspace
+// dichotomic search brackets T*_ac from scratch with ~100 Algorithm 2
+// probes; after a small mutation the previous solution is usually still
+// nearly optimal, so RepairAcyclicWithWorkspace warm-starts the search
+// instead:
 //
 //  1. the previous encoding word is adapted to the new class counts
 //     (AdaptWord) — any valid word is feasible at *some* throughput,
-//     so the adapted word's exact per-word optimum WordThroughput(w₀)
-//     is an achievable lower bound T₀;
+//     so the adapted word's exact per-word optimum
+//     WordThroughputWithWorkspace(w₀) is an achievable lower bound T₀;
 //  2. one confirmation probe just above T₀'s decision fuzz certifies
 //     that the optimum has not moved (the common case, one probe); if
 //     it has, the shared bisection (searchLoop) runs on the remaining
@@ -26,7 +27,7 @@ import (
 //  3. the winning word's scheme is built and *verified* with a
 //     max-flow throughput evaluation; if the verified value deviates
 //     from the claimed one beyond tolerance, the repair is discarded
-//     and a full SolveAcyclicWithWorkspace runs (fellBack = true).
+//     and a full SolveAcyclicWordWithWorkspace runs (fellBack = true).
 //
 // The contract tested by the churn property suite: the repaired
 // scheme's verified throughput equals a full re-solve's within float
@@ -84,17 +85,10 @@ type RepairResult struct {
 	FellBack bool
 }
 
-// RepairAcyclic is RepairAcyclicWithWorkspace on a pooled workspace.
-func RepairAcyclic(ins *platform.Instance, prev Word) (RepairResult, error) {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
-	return RepairAcyclicWithWorkspace(ins, prev, ws)
-}
-
 // RepairAcyclicWithWorkspace computes the optimal acyclic throughput
 // and scheme for ins, warm-starting from prev, the encoding word of a
 // solution to the pre-churn instance. A nil or empty prev degrades to
-// a full solve.
+// a full solve. A nil ws means a private workspace.
 func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace) (RepairResult, error) {
 	ws = ws.ensure()
 	if len(prev) == 0 || ins.Total() == 1 {
@@ -125,7 +119,7 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 		}
 	}
 
-	built, scheme, err := buildSchemeShaved(ins, bestWord, best, ws)
+	built, scheme, err := BuildSchemeShaved(ins, bestWord, best, ws, BuildSchemeWithWorkspace)
 	if err == nil {
 		best = built
 		// Verify capped at best+2tol: the acceptance band is ±tol, so
@@ -144,16 +138,11 @@ func RepairAcyclicWithWorkspace(ins *platform.Instance, prev Word, ws *Workspace
 	return fullAcyclicWithWord(ins, ws)
 }
 
-// fullAcyclicWithWord is SolveAcyclicWithWorkspace keeping the winning
-// word (so a repair that fell back still hands the next round a real
-// warm start) and measuring the scheme's verified throughput, so every
-// RepairResult carries one.
+// fullAcyclicWithWord is SolveAcyclicWordWithWorkspace measuring the
+// scheme's verified throughput, so every RepairResult carries one (and a
+// repair that fell back still hands the next round a real warm start).
 func fullAcyclicWithWord(ins *platform.Instance, ws *Workspace) (RepairResult, error) {
-	T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, ws)
-	if err != nil {
-		return RepairResult{}, err
-	}
-	T, scheme, err := buildSchemeShaved(ins, w, T, ws)
+	T, scheme, w, err := SolveAcyclicWordWithWorkspace(ins, ws)
 	if err != nil {
 		return RepairResult{}, err
 	}

@@ -53,7 +53,7 @@ func repairAgrees(t *testing.T, ins *platform.Instance, mutate func(*platform.In
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
-	fullT, fullS, err := SolveAcyclic(ins)
+	fullT, fullS, _, err := SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatalf("full re-solve: %v", err)
 	}
@@ -135,14 +135,14 @@ func TestRepairMatchesFullSolveRandom(t *testing.T) {
 // word means a full solve, flagged as such.
 func TestRepairNilPrevFallsBack(t *testing.T) {
 	ins := generator.Figure1()
-	rr, err := RepairAcyclic(ins, nil)
+	rr, err := RepairAcyclicWithWorkspace(ins, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rr.FellBack {
 		t.Fatal("repair with no previous word should report FellBack")
 	}
-	fullT, _, err := SolveAcyclic(ins)
+	fullT, _, _, err := SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRepairCheaperThanFullSolve(t *testing.T) {
 	repairProbes := ws.Stats().Sub(before).GreedyTests
 
 	before = ws.Stats()
-	if _, _, err := SolveAcyclicWithWorkspace(ins, ws); err != nil {
+	if _, _, _, err := SolveAcyclicWordWithWorkspace(ins, ws); err != nil {
 		t.Fatal(err)
 	}
 	fullProbes := ws.Stats().Sub(before).GreedyTests

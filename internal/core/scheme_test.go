@@ -92,7 +92,7 @@ func TestSchemeThroughputExactMatchesFloat(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		ins := randomMixedInstance(rng, 2+rng.Intn(5), rng.Intn(5))
-		_, s, err := SolveAcyclic(ins)
+		_, s, _, err := SolveAcyclicWordWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func TestDegreeLowerBoundPanicsOnZeroT(t *testing.T) {
 func TestDegreeSlack(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 	word, _ := GreedyTest(ins, 4)
-	s, err := BuildScheme(ins, word, 4)
+	s, err := BuildSchemeWithWorkspace(ins, word, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDegreeSlack(t *testing.T) {
 func TestSchemeGraphAndEdgesDeterministic(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
 	word, _ := GreedyTest(ins, 4)
-	s, err := BuildScheme(ins, word, 4)
+	s, err := BuildSchemeWithWorkspace(ins, word, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestSchemeCompact(t *testing.T) {
 			guarded[i] = 1 + 99*rng.Float64()
 		}
 		ins := platform.MustInstance(100, open, guarded)
-		_, s, err := SolveAcyclic(ins)
+		_, s, _, err := SolveAcyclicWordWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

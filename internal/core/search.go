@@ -18,34 +18,29 @@ const searchIterations = 100
 // probes inside a 4·tol band answer noise, not information — the seed's
 // fixed 100 halvings spent ~70 probes below that resolution, which is
 // why small instances used to cost 5× the n=1000 fast path. The final
-// refinement (WordThroughput of the winning word) is exact per-word
+// refinement (WordThroughputWithWorkspace of the winning word) is exact per-word
 // regardless, so tightening the bracket further cannot improve the
 // certified result by more than the greedy fuzz it is already subject
 // to.
 func searchDone(lo, hi float64) bool { return hi-lo <= 4*tol(hi) }
 
-// OptimalAcyclicThroughput computes T*_ac for a general (open + guarded)
-// instance by dichotomic search over GreedyTest, as prescribed after
-// Theorem 4.1 ("there is no closed formula for T*_ac, but the algorithm
-// can be combined with a dichotomic search").
+// OptimalAcyclicThroughputWithWorkspace computes T*_ac for a general
+// (open + guarded) instance by dichotomic search over GreedyTest, as
+// prescribed after Theorem 4.1 ("there is no closed formula for T*_ac,
+// but the algorithm can be combined with a dichotomic search").
 //
 // The returned word is a valid increasing order achieving the returned
 // throughput; the throughput itself is refined to the exact per-word
-// optimum WordThroughput(word), which is achievable and never exceeds
-// T*_ac, so the result is a certified acyclic throughput within bisection
-// resolution of the true optimum.
-func OptimalAcyclicThroughput(ins *platform.Instance) (float64, Word, error) {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
-	return OptimalAcyclicThroughputWithWorkspace(ins, ws)
-}
-
-// OptimalAcyclicThroughputWithWorkspace is the dichotomic search on
-// reusable scratch: feasibility probes write their candidate words into
-// the workspace's double buffer (the current survivor lives in one
-// buffer while probes overwrite the other) instead of allocating one
-// word per probe. Only the winning word is copied out, so the returned
-// Word is stable and safe to retain.
+// optimum WordThroughputWithWorkspace(word), which is achievable and
+// never exceeds T*_ac, so the result is a certified acyclic throughput
+// within bisection resolution of the true optimum.
+//
+// The search runs on reusable scratch (nil ws means a private
+// workspace): feasibility probes write their candidate words into the
+// workspace's double buffer (the current survivor lives in one buffer
+// while probes overwrite the other) instead of allocating one word per
+// probe. Only the winning word is copied out, so the returned Word is
+// stable and safe to retain.
 func OptimalAcyclicThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	ws = ws.ensure()
 	if ins.Total() == 1 {
@@ -123,7 +118,7 @@ func cloneWord(w Word) Word { return append(Word(nil), w...) }
 
 // refineWord returns the per-word exact optimum when it improves on the
 // bisection value (it always should — the word is feasible at lo, so
-// WordThroughput(word) ≥ lo).
+// WordThroughputWithWorkspace(word) ≥ lo).
 func refineWord(ins *platform.Instance, w Word, lo float64, ws *Workspace) float64 {
 	if t := WordThroughputWithWorkspace(ins, w, ws); t > lo {
 		return t
@@ -138,24 +133,17 @@ func refineWord(ins *platform.Instance, w Word, lo float64, ws *Workspace) float
 // no other word's breakpoint — which holds for every instance the test
 // suite cross-checks against exhaustive enumeration.
 func OptimalAcyclicThroughputExact(ins *platform.Instance) (*big.Rat, Word, error) {
-	_, w, err := OptimalAcyclicThroughput(ins)
+	_, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 	if err != nil {
 		return nil, nil, err
 	}
 	return WordThroughputExact(ins, w), w, nil
 }
 
-// FeasibleAcyclic reports whether throughput T is acyclically achievable,
-// i.e. T ≤ T*_ac (Theorem 4.1's linear-time decision).
-func FeasibleAcyclic(ins *platform.Instance, T float64) bool {
-	ws := acquireWorkspace()
-	defer releaseWorkspace(ws)
-	return FeasibleAcyclicWithWorkspace(ins, T, ws)
-}
-
-// FeasibleAcyclicWithWorkspace is the Algorithm 2 decision on reusable
-// scratch — the witness word lands in the workspace buffer and is
-// discarded, so repeated probing allocates nothing.
+// FeasibleAcyclicWithWorkspace reports whether throughput T is
+// acyclically achievable, i.e. T ≤ T*_ac (Theorem 4.1's linear-time
+// decision). The witness word lands in the workspace buffer and is
+// discarded, so repeated probing on one workspace allocates nothing.
 func FeasibleAcyclicWithWorkspace(ins *platform.Instance, T float64, ws *Workspace) bool {
 	_, ok := ws.ensure().probeWord(ins, T)
 	return ok

@@ -142,7 +142,7 @@ func TestQuickWordThroughputDominatedByOptimum(t *testing.T) {
 			nn = 1
 		}
 		ins := randomMixedInstance(rng, nn, mm)
-		opt, _, err := OptimalAcyclicThroughput(ins)
+		opt, _, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
 		if err != nil {
 			return false
 		}
@@ -153,7 +153,7 @@ func TestQuickWordThroughputDominatedByOptimum(t *testing.T) {
 			word = append(word, platform.Guarded)
 		}
 		rng.Shuffle(len(word), func(i, j int) { word[i], word[j] = word[j], word[i] })
-		return WordThroughput(ins, word) <= opt*(1+1e-9)+1e-12
+		return WordThroughputWithWorkspace(ins, word, nil) <= opt*(1+1e-9)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -173,7 +173,7 @@ func TestWordThroughputBisectionAgreesWithExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := WordThroughput(ins, w) // len > cutoff → bisection
+		got := WordThroughputWithWorkspace(ins, w, nil) // len > cutoff → bisection
 		exact, _ := WordThroughputExact(ins, w).Float64()
 		if diff := got - exact; diff > 1e-7*(1+exact) || diff < -1e-7*(1+exact) {
 			t.Fatalf("trial %d: bisection %v vs exact %v", trial, got, exact)

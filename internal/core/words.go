@@ -73,14 +73,11 @@ func CanonicalWords(ins *platform.Instance) []Word {
 	return ws
 }
 
-// BestCanonicalThroughput returns max(T*_ac(ω1), T*_ac(ω2)) together with
+// BestCanonicalThroughputWithWorkspace returns max(T*_ac(ω1), T*_ac(ω2)) together with
 // the winning word — the "blue line" series of the paper's Figure 19.
-func BestCanonicalThroughput(ins *platform.Instance) (float64, Word, error) {
-	return BestCanonicalThroughputWithWorkspace(ins, nil)
-}
-
-// BestCanonicalThroughputWithWorkspace evaluates the canonical words on
-// reusable per-word scratch.
+//
+// The canonical words are evaluated on ws's per-word scratch (nil means
+// a private workspace).
 func BestCanonicalThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	cands := CanonicalWords(ins)
 	if len(cands) == 0 {
@@ -115,13 +112,8 @@ func TheoremWord(ins *platform.Instance) (Word, error) {
 	return Omega2(n, m)
 }
 
-// TheoremWordThroughput evaluates the TheoremWord series.
-func TheoremWordThroughput(ins *platform.Instance) (float64, Word, error) {
-	return TheoremWordThroughputWithWorkspace(ins, nil)
-}
-
-// TheoremWordThroughputWithWorkspace evaluates the TheoremWord series on
-// reusable per-word scratch.
+// TheoremWordThroughputWithWorkspace evaluates the TheoremWord series
+// on ws's per-word scratch (nil means a private workspace).
 func TheoremWordThroughputWithWorkspace(ins *platform.Instance, ws *Workspace) (float64, Word, error) {
 	w, err := TheoremWord(ins)
 	if err != nil {

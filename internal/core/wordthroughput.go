@@ -63,9 +63,9 @@ func wordFeasibleKernel(ins *platform.Instance, w Word, T float64) bool {
 	return true
 }
 
-// WordThroughput returns T*_ac(w), the optimal acyclic throughput over
-// schemes compatible with the order encoded by w. Using the closed forms
-// of Lemma 4.4,
+// WordThroughputWithWorkspace returns T*_ac(w), the optimal acyclic
+// throughput over schemes compatible with the order encoded by w. Using
+// the closed forms of Lemma 4.4,
 //
 //	O(π) = S^O_i − j·T − W(π),   O(π)+G(π) = S^O_i + S^G_j − (i+j)·T,
 //	W(π) = max(0, max over ○-prefixes π'○ of (i'·T − S^G_{j'})),
@@ -77,13 +77,10 @@ func wordFeasibleKernel(ins *platform.Instance, w Word, T float64) bool {
 // enumeration is replaced by bisection over the O(L) feasibility check,
 // which is indistinguishable at float64 resolution and keeps the
 // average-case experiments (n = 1000, thousands of repetitions) fast.
-func WordThroughput(ins *platform.Instance, w Word) float64 {
-	return WordThroughputWithWorkspace(ins, w, nil)
-}
-
-// WordThroughputWithWorkspace is WordThroughput with the W(π)-candidate
-// scratch taken from ws, so per-word evaluation inside search and
-// enumeration loops stops allocating.
+//
+// The W(π)-candidate scratch comes from ws (nil means a private
+// workspace), so per-word evaluation inside search and enumeration
+// loops stops allocating.
 func WordThroughputWithWorkspace(ins *platform.Instance, w Word, ws *Workspace) float64 {
 	if err := w.Validate(ins); err != nil {
 		panic(err)
@@ -161,7 +158,8 @@ func wordThroughputBisect(ins *platform.Instance, w Word) float64 {
 	return lo
 }
 
-// WordThroughputExact is the exact-rational twin of WordThroughput.
+// WordThroughputExact is the exact-rational twin of
+// WordThroughputWithWorkspace.
 func WordThroughputExact(ins *platform.Instance, w Word) *big.Rat {
 	if err := w.Validate(ins); err != nil {
 		panic(err)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/graph"
 	"repro/internal/maxflow"
 	"repro/internal/platform"
@@ -10,18 +8,19 @@ import (
 
 // Workspace bundles every scratch buffer the hot constructive and
 // verification paths need — the max-flow solver state, the broadcast
-// target list, the BuildScheme supplier queues, the dichotomic search's
+// target list, the BuildSchemeWithWorkspace supplier queues, the dichotomic search's
 // word double-buffer and the per-word evaluation candidates — so a
 // caller running thousands of solves (sweeps, Figure 7/19 grids) reuses
 // one set of allocations instead of re-allocating per call.
 //
-// Every exported ...WithWorkspace function accepts a nil workspace and
-// allocates a private one, so the plain wrappers (Throughput,
-// BuildScheme, OptimalAcyclicThroughput, ...) are one-line delegations
-// and no existing caller changes behavior.
+// Every paper algorithm has one entry point, its ...WithWorkspace
+// function, and each accepts a nil workspace and allocates a private
+// one. Callers that want reuse pass their own: a sweep threads one
+// through its loop, and the engine leases one per worker from its
+// pool, the only workspace pool in the process (the repro facade
+// borrows from it too).
 //
-// A Workspace is not safe for concurrent use; internal/engine pools one
-// per worker.
+// A Workspace is not safe for concurrent use.
 type Workspace struct {
 	flow     maxflow.Workspace
 	targets  []int
@@ -45,7 +44,7 @@ type pendingRate struct {
 }
 
 // wCand is one W(π)-candidate prefix of the Lemma 4.4 closed forms
-// (shared by WordThroughput and its workspace variant).
+// (WordThroughputWithWorkspace keeps them in the workspace).
 type wCand struct {
 	iS   int
 	gSum float64
@@ -134,17 +133,6 @@ func (ws *Workspace) Prealloc(total int) {
 	}
 	ws.flow.Prealloc(total)
 }
-
-// wsPool recycles private workspaces for the convenience wrappers
-// (OptimalAcyclicThroughput, SolveAcyclic, ...), so callers who don't
-// thread a Workspace of their own still amortize scratch storage across
-// calls instead of paying a cold allocation set per solve. The engine
-// layer keeps its own per-goroutine pool; this one only backs the
-// package-level helpers.
-var wsPool = sync.Pool{New: func() any { return NewWorkspace() }}
-
-func acquireWorkspace() *Workspace   { return wsPool.Get().(*Workspace) }
-func releaseWorkspace(ws *Workspace) { wsPool.Put(ws) }
 
 // Stats returns a snapshot of the cumulative evaluation counters
 // (including the flow solver's growth counter).

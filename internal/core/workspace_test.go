@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/platform"
@@ -21,103 +23,136 @@ func workspaceTestInstance(seed int64, n, m int) *platform.Instance {
 	return platform.MustInstance(50+50*rng.Float64(), open, guarded)
 }
 
-// TestWithWorkspaceMatchesPlain: every ...WithWorkspace variant returns
-// byte-identical results to its plain wrapper, with the workspace reused
-// (warm and dirty) across instances.
-func TestWithWorkspaceMatchesPlain(t *testing.T) {
+// fingerprint renders solver outputs bit-exactly: floats as their
+// IEEE-754 bits, words as strings, schemes as their edge lists with rate
+// bits, errors as their messages.
+func fingerprint(vals ...any) string {
+	var b strings.Builder
+	for _, v := range vals {
+		switch v := v.(type) {
+		case float64:
+			fmt.Fprintf(&b, "%x ", math.Float64bits(v))
+		case *Scheme:
+			if v == nil {
+				b.WriteString("<nil scheme> ")
+				continue
+			}
+			for _, e := range v.Edges() {
+				fmt.Fprintf(&b, "%d>%d:%x ", e.From, e.To, math.Float64bits(e.Weight))
+			}
+			fmt.Fprintf(&b, "T=%x ", math.Float64bits(v.Throughput()))
+		case RepairResult:
+			b.WriteString(fingerprint(v.T, v.Scheme, v.Word, v.Verified, v.FellBack))
+		case error:
+			fmt.Fprintf(&b, "err=%v ", v)
+		default:
+			fmt.Fprintf(&b, "%v ", v)
+		}
+	}
+	return b.String()
+}
+
+// optimalWord is the dichotomic search's winning word and throughput,
+// computed on a private workspace so both sides of a comparison start
+// from the same input.
+func optimalWord(t *testing.T, ins *platform.Instance) (float64, Word) {
+	t.Helper()
+	T, w, err := OptimalAcyclicThroughputWithWorkspace(ins, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return T, w
+}
+
+// workspaceCase runs one entry point on ins with ws and fingerprints
+// what it returns.
+type workspaceCase struct {
+	name string
+	run  func(t *testing.T, ins *platform.Instance, ws *Workspace) string
+}
+
+// assertNilAndWarmAgree: every case returns bit-identical results on a
+// nil workspace (a private fresh one) and on one warm, dirty workspace
+// shared across every case and seed.
+func assertNilAndWarmAgree(t *testing.T, instance func(seed int64) *platform.Instance, cases []workspaceCase) {
+	t.Helper()
 	ws := NewWorkspace()
 	for seed := int64(1); seed <= 30; seed++ {
-		ins := workspaceTestInstance(seed, 4+int(seed)%8, int(seed)%6)
-
-		tPlain, wPlain, errPlain := OptimalAcyclicThroughput(ins)
-		tWS, wWS, errWS := OptimalAcyclicThroughputWithWorkspace(ins, ws)
-		if (errPlain == nil) != (errWS == nil) {
-			t.Fatalf("seed %d: search errs %v vs %v", seed, errPlain, errWS)
-		}
-		if errPlain != nil {
-			continue
-		}
-		if math.Float64bits(tPlain) != math.Float64bits(tWS) || wPlain.String() != wWS.String() {
-			t.Fatalf("seed %d: search (%v, %s) vs workspace (%v, %s)", seed, tPlain, wPlain, tWS, wWS)
-		}
-
-		if FeasibleAcyclic(ins, tPlain) != FeasibleAcyclicWithWorkspace(ins, tPlain, ws) {
-			t.Fatalf("seed %d: feasibility diverges at T=%v", seed, tPlain)
-		}
-
-		if a, b := WordThroughput(ins, wPlain), WordThroughputWithWorkspace(ins, wPlain, ws); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("seed %d: word throughput %v vs %v", seed, a, b)
-		}
-
-		build := tPlain * (1 - 1e-12)
-		sPlain, errPlain := BuildScheme(ins, wPlain, build)
-		sWS, errWS := BuildSchemeWithWorkspace(ins, wPlain, build, ws)
-		if (errPlain == nil) != (errWS == nil) {
-			t.Fatalf("seed %d: build errs %v vs %v", seed, errPlain, errWS)
-		}
-		if errPlain == nil {
-			ePlain, eWS := sPlain.Edges(), sWS.Edges()
-			if len(ePlain) != len(eWS) {
-				t.Fatalf("seed %d: %d vs %d edges", seed, len(ePlain), len(eWS))
-			}
-			for k := range ePlain {
-				if ePlain[k] != eWS[k] {
-					t.Fatalf("seed %d edge %d: %+v vs %+v", seed, k, ePlain[k], eWS[k])
-				}
-			}
-			if a, b := sPlain.Throughput(), sWS.ThroughputWithWorkspace(ws); math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("seed %d: verify %v vs %v", seed, a, b)
-			}
-		}
-
-		T := OptimalCyclicThroughput(ins)
-		pPlain, aPlain, errPlain := PackCyclicGuarded(ins, T)
-		pWS, aWS, errWS := PackCyclicGuardedWithWorkspace(ins, T, ws)
-		if (errPlain == nil) != (errWS == nil) {
-			t.Fatalf("seed %d: pack errs %v vs %v", seed, errPlain, errWS)
-		}
-		if errPlain == nil {
-			if math.Float64bits(aPlain) != math.Float64bits(aWS) {
-				t.Fatalf("seed %d: packed %v vs %v", seed, aPlain, aWS)
-			}
-			ePlain, eWS := pPlain.Edges(), pWS.Edges()
-			if len(ePlain) != len(eWS) {
-				t.Fatalf("seed %d: pack %d vs %d edges", seed, len(ePlain), len(eWS))
-			}
-			for k := range ePlain {
-				if ePlain[k] != eWS[k] {
-					t.Fatalf("seed %d pack edge %d: %+v vs %+v", seed, k, ePlain[k], eWS[k])
-				}
+		ins := instance(seed)
+		for _, c := range cases {
+			fresh, warm := c.run(t, ins, nil), c.run(t, ins, ws)
+			if fresh != warm {
+				t.Fatalf("%s seed %d:\n nil  %s\n warm %s", c.name, seed, fresh, warm)
 			}
 		}
 	}
 }
 
-// TestCyclicOpenWithWorkspaceMatchesPlain covers the Theorem 5.2
-// constructor's workspace variant (open-only instances).
-func TestCyclicOpenWithWorkspaceMatchesPlain(t *testing.T) {
-	ws := NewWorkspace()
-	for seed := int64(1); seed <= 20; seed++ {
-		ins := workspaceTestInstance(100+seed, 5+int(seed), 0)
-		T := OptimalCyclicThroughput(ins)
-		sPlain, errPlain := CyclicOpen(ins, T)
-		sWS, errWS := CyclicOpenWithWorkspace(ins, T, ws)
-		if (errPlain == nil) != (errWS == nil) {
-			t.Fatalf("seed %d: errs %v vs %v", seed, errPlain, errWS)
-		}
-		if errPlain != nil {
-			continue
-		}
-		ePlain, eWS := sPlain.Edges(), sWS.Edges()
-		if len(ePlain) != len(eWS) {
-			t.Fatalf("seed %d: %d vs %d edges", seed, len(ePlain), len(eWS))
-		}
-		for k := range ePlain {
-			if ePlain[k] != eWS[k] {
-				t.Fatalf("seed %d edge %d: %+v vs %+v", seed, k, ePlain[k], eWS[k])
+// TestWithWorkspaceMatchesPlain: every entry point on mixed instances
+// returns bit-identical results on a nil workspace and on a warm, dirty
+// one.
+func TestWithWorkspaceMatchesPlain(t *testing.T) {
+	assertNilAndWarmAgree(t, func(seed int64) *platform.Instance {
+		return workspaceTestInstance(seed, 4+int(seed)%8, int(seed)%6)
+	}, []workspaceCase{
+		{"OptimalAcyclicThroughput", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(OptimalAcyclicThroughputWithWorkspace(ins, ws))
+		}},
+		{"FeasibleAcyclic", func(t *testing.T, ins *platform.Instance, ws *Workspace) string {
+			T, _ := optimalWord(t, ins)
+			return fingerprint(FeasibleAcyclicWithWorkspace(ins, T, ws), FeasibleAcyclicWithWorkspace(ins, T*1.01, ws))
+		}},
+		{"WordThroughput", func(t *testing.T, ins *platform.Instance, ws *Workspace) string {
+			_, w := optimalWord(t, ins)
+			return fingerprint(WordThroughputWithWorkspace(ins, w, ws))
+		}},
+		{"BuildScheme", func(t *testing.T, ins *platform.Instance, ws *Workspace) string {
+			T, w := optimalWord(t, ins)
+			return fingerprint(BuildSchemeWithWorkspace(ins, w, T*(1-1e-12), ws))
+		}},
+		{"BuildSchemeShaved", func(t *testing.T, ins *platform.Instance, ws *Workspace) string {
+			T, w := optimalWord(t, ins)
+			return fingerprint(BuildSchemeShaved(ins, w, T, ws, BuildSchemeWithWorkspace))
+		}},
+		{"SolveAcyclicWord", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			T, s, w, err := SolveAcyclicWordWithWorkspace(ins, ws)
+			return fingerprint(T, s, w, err, s.ThroughputWithWorkspace(ws))
+		}},
+		{"RepairAcyclic/warm", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			prev, err := Omega2(ins.N(), ins.M())
+			if err != nil {
+				return fingerprint(err)
 			}
-		}
-	}
+			return fingerprint(RepairAcyclicWithWorkspace(ins, prev, ws))
+		}},
+		{"RepairAcyclic/cold", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(RepairAcyclicWithWorkspace(ins, nil, ws))
+		}},
+		{"PackCyclicGuarded", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(PackCyclicGuardedWithWorkspace(ins, OptimalCyclicThroughput(ins), ws))
+		}},
+		{"BestCanonical", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(BestCanonicalThroughputWithWorkspace(ins, ws))
+		}},
+		{"TheoremWord", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(TheoremWordThroughputWithWorkspace(ins, ws))
+		}},
+	})
+}
+
+// TestCyclicOpenWithWorkspaceMatchesPlain covers the Theorem 5.2
+// constructor and its solver (open-only instances) the same way.
+func TestCyclicOpenWithWorkspaceMatchesPlain(t *testing.T) {
+	assertNilAndWarmAgree(t, func(seed int64) *platform.Instance {
+		return workspaceTestInstance(100+seed, 5+int(seed), 0)
+	}, []workspaceCase{
+		{"CyclicOpen", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(CyclicOpenWithWorkspace(ins, OptimalCyclicThroughput(ins), ws))
+		}},
+		{"SolveCyclicOpen", func(_ *testing.T, ins *platform.Instance, ws *Workspace) string {
+			return fingerprint(SolveCyclicOpenWithWorkspace(ins, ws))
+		}},
+	})
 }
 
 // TestThroughputWorkspaceZeroSteadyStateAllocs: warm workspace
@@ -125,7 +160,7 @@ func TestCyclicOpenWithWorkspaceMatchesPlain(t *testing.T) {
 // allocates nothing.
 func TestThroughputWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 	ins := workspaceTestInstance(7, 30, 30)
-	_, s, err := SolveAcyclic(ins)
+	_, s, _, err := SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +186,7 @@ func TestThroughputWorkspaceZeroSteadyStateAllocs(t *testing.T) {
 // graph materialization it replaced in CyclicOpen.
 func TestInEdgesMatchesGraph(t *testing.T) {
 	ins := workspaceTestInstance(13, 10, 10)
-	_, s, err := SolveAcyclic(ins)
+	_, s, _, err := SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func countingRegistry(t *testing.T, calls *atomic.Int64) *Registry {
 	r.MustRegister(NewSolver("acyclic", CapExact|CapHandlesGuarded|CapBuildsScheme,
 		func(ins *platform.Instance, ws *core.Workspace) (Result, error) {
 			calls.Add(1)
-			T, s, err := core.SolveAcyclicWithWorkspace(ins, ws)
+			T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, ws)
 			if err != nil {
 				return Result{}, err
 			}
@@ -716,7 +716,7 @@ func TestCacheByteBudgetSpareForPaperSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, s, err := core.SolveAcyclic(ins)
+	_, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ const (
 	CapAnytime
 	// CapIncremental marks solvers a Session can re-solve incrementally
 	// after platform churn, warm-starting from the previous solution
-	// (core.RepairAcyclic) instead of solving from scratch.
+	// (core.RepairAcyclicWithWorkspace) instead of solving from scratch.
 	CapIncremental
 )
 

@@ -18,7 +18,7 @@ import (
 //     event after the first runs on warm scratch (the zero-allocation
 //     steady state of the evaluation pipeline);
 //   - carries the previous event's solution across events and, for
-//     CapIncremental solvers, re-solves through core.RepairAcyclic —
+//     CapIncremental solvers, re-solves through core.RepairAcyclicWithWorkspace —
 //     a warm-started search that falls back to a full solve when the
 //     repaired scheme's verified throughput deviates;
 //   - accumulates per-event evaluation counters into SessionStats, the

@@ -308,7 +308,7 @@ func AvgCaseCSV(cells []AvgCaseCell) string {
 func WorstCaseReport() (string, error) {
 	var sb strings.Builder
 	ins := generator.WorstCase57(1.0 / 14)
-	tac, w, err := core.OptimalAcyclicThroughput(ins)
+	tac, w, err := core.OptimalAcyclicThroughputWithWorkspace(ins, nil)
 	if err != nil {
 		return "", err
 	}
@@ -320,7 +320,7 @@ func WorstCaseReport() (string, error) {
 	fmt.Fprintf(&sb, "Theorem 6.3 family I(17/40, k): limit (1+√41)/8 = %.6f\n", core.AsymptoticWorstCaseRatio)
 	for _, k := range []int{1, 2, 4, 8} {
 		fam := generator.Sqrt41Default(k)
-		tacK, _, err := core.OptimalAcyclicThroughput(fam)
+		tacK, _, err := core.OptimalAcyclicThroughputWithWorkspace(fam, nil)
 		if err != nil {
 			return "", err
 		}
@@ -341,7 +341,7 @@ type RatioForInstance struct {
 // Ratios computes cyclic and acyclic optima for an instance.
 func Ratios(ins *platform.Instance) (RatioForInstance, error) {
 	tstar := core.OptimalCyclicThroughput(ins)
-	tac, w, err := core.OptimalAcyclicThroughput(ins)
+	tac, w, err := core.OptimalAcyclicThroughputWithWorkspace(ins, nil)
 	if err != nil {
 		return RatioForInstance{}, err
 	}

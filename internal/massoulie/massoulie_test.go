@@ -26,7 +26,7 @@ func TestSimulateSingleEdge(t *testing.T) {
 
 func TestSimulateFigure1Acyclic(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSimulateFigure1Acyclic(t *testing.T) {
 
 func TestSimulateCyclicOverlay(t *testing.T) {
 	ins := platform.MustInstance(5, []float64{5, 4, 4, 4, 3}, nil)
-	T, s, err := core.SolveCyclicOpen(ins)
+	T, s, err := core.SolveCyclicOpenWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSimulateRandomOverlays(t *testing.T) {
 			guarded[i] = 1 + 10*rng.Float64()
 		}
 		ins := platform.MustInstance(5+10*rng.Float64(), open, guarded)
-		T, s, err := core.SolveAcyclic(ins)
+		T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -93,7 +93,7 @@ func TestSimulateRandomOverlays(t *testing.T) {
 
 func TestSimulateDeterministicPerSeed(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestSimulateStarvedOverlayDoesNotComplete(t *testing.T) {
 
 func TestDelayBoundedByDepth(t *testing.T) {
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

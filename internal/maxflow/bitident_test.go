@@ -121,7 +121,7 @@ func TestKernelMatchesReferenceOnLargeScheme(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, s, err := core.SolveAcyclic(ins)
+	_, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 
 func solved(t *testing.T, ins *platform.Instance) (*core.Scheme, float64, []trees.Tree) {
 	t.Helper()
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 func solveFigure1(t *testing.T) (*core.Scheme, float64) {
 	t.Helper()
 	ins := platform.MustInstance(6, []float64{5, 5}, []float64{4, 1, 1})
-	T, s, err := core.SolveAcyclic(ins)
+	T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestDecomposeRandomAcyclic(t *testing.T) {
 			guarded[i] = 1 + 20*rng.Float64()
 		}
 		ins := platform.MustInstance(5+20*rng.Float64(), open, guarded)
-		T, s, err := core.SolveAcyclic(ins)
+		T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -84,7 +84,7 @@ func TestDecomposePartialTarget(t *testing.T) {
 
 func TestDecomposeRejectsCyclic(t *testing.T) {
 	ins := platform.MustInstance(5, []float64{5, 3, 2}, nil)
-	_, s, err := core.SolveCyclicOpen(ins)
+	_, s, err := core.SolveCyclicOpenWithWorkspace(ins, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

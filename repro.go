@@ -212,7 +212,9 @@ type RepairResult = core.RepairResult
 // the previous solution's encoding word and falling back to a full
 // solve when the repaired scheme's verified throughput deviates.
 func RepairAcyclic(ins *Instance, prev Word) (RepairResult, error) {
-	return core.RepairAcyclic(ins, prev)
+	ws := engine.AcquireWorkspace()
+	defer engine.ReleaseWorkspace(ws)
+	return core.RepairAcyclicWithWorkspace(ins, prev, ws)
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +235,8 @@ func NewWorkspace() *Workspace { return core.NewWorkspace() }
 
 // SolveAcyclicWithWorkspace is SolveAcyclic on reusable scratch.
 func SolveAcyclicWithWorkspace(ins *Instance, ws *Workspace) (float64, *Scheme, error) {
-	return core.SolveAcyclicWithWorkspace(ins, ws)
+	T, s, _, err := core.SolveAcyclicWordWithWorkspace(ins, ws)
+	return T, s, err
 }
 
 // OptimalAcyclicThroughputWithWorkspace is OptimalAcyclicThroughput on
@@ -278,7 +281,9 @@ func AcyclicOpenOptimalThroughput(ins *Instance) float64 {
 // OptimalAcyclicThroughput computes T*_ac by dichotomic search over
 // GreedyTest (Theorem 4.1) and returns a witness word.
 func OptimalAcyclicThroughput(ins *Instance) (float64, Word, error) {
-	return core.OptimalAcyclicThroughput(ins)
+	ws := engine.AcquireWorkspace()
+	defer engine.ReleaseWorkspace(ws)
+	return core.OptimalAcyclicThroughputWithWorkspace(ins, ws)
 }
 
 // OptimalAcyclicThroughputExact is OptimalAcyclicThroughput with an
@@ -289,7 +294,11 @@ func OptimalAcyclicThroughputExact(ins *Instance) (*big.Rat, Word, error) {
 
 // FeasibleAcyclic decides in linear time whether throughput T is
 // acyclically achievable (Algorithm 2).
-func FeasibleAcyclic(ins *Instance, T float64) bool { return core.FeasibleAcyclic(ins, T) }
+func FeasibleAcyclic(ins *Instance, T float64) bool {
+	ws := engine.AcquireWorkspace()
+	defer engine.ReleaseWorkspace(ws)
+	return core.FeasibleAcyclicWithWorkspace(ins, T, ws)
+}
 
 // GreedyTest runs Algorithm 2: it returns a valid encoding word for
 // throughput T, or ok = false when T > T*_ac.
@@ -297,7 +306,9 @@ func GreedyTest(ins *Instance, T float64) (Word, bool) { return core.GreedyTest(
 
 // WordThroughput returns T*_ac(w), the optimal acyclic throughput among
 // schemes compatible with the order encoded by w.
-func WordThroughput(ins *Instance, w Word) float64 { return core.WordThroughput(ins, w) }
+func WordThroughput(ins *Instance, w Word) float64 {
+	return core.WordThroughputWithWorkspace(ins, w, nil)
+}
 
 // DegreeLowerBound returns ⌈b/T⌉, the outdegree floor of a node that
 // uses its full bandwidth at throughput T.
@@ -316,21 +327,29 @@ func AcyclicOpen(ins *Instance, T float64) (*Scheme, error) { return core.Acycli
 // BuildScheme materializes the low-degree scheme of Lemma 4.6 from an
 // encoding word at throughput T.
 func BuildScheme(ins *Instance, w Word, T float64) (*Scheme, error) {
-	return core.BuildScheme(ins, w, T)
+	return core.BuildSchemeWithWorkspace(ins, w, T, nil)
 }
 
 // SolveAcyclic runs the full acyclic pipeline: dichotomic search for
 // T*_ac, then the low-degree construction.
-func SolveAcyclic(ins *Instance) (float64, *Scheme, error) { return core.SolveAcyclic(ins) }
+func SolveAcyclic(ins *Instance) (float64, *Scheme, error) {
+	ws := engine.AcquireWorkspace()
+	defer engine.ReleaseWorkspace(ws)
+	return SolveAcyclicWithWorkspace(ins, ws)
+}
 
 // CyclicOpen builds the Theorem 5.2 cyclic scheme for open-only
 // instances at throughput T ≤ min(b0, (b0+O)/n), with outdegree
 // ≤ max(⌈b_i/T⌉+2, 4).
-func CyclicOpen(ins *Instance, T float64) (*Scheme, error) { return core.CyclicOpen(ins, T) }
+func CyclicOpen(ins *Instance, T float64) (*Scheme, error) {
+	return core.CyclicOpenWithWorkspace(ins, T, nil)
+}
 
 // SolveCyclicOpen builds the optimal cyclic scheme for an open-only
 // instance.
-func SolveCyclicOpen(ins *Instance) (float64, *Scheme, error) { return core.SolveCyclicOpen(ins) }
+func SolveCyclicOpen(ins *Instance) (float64, *Scheme, error) {
+	return core.SolveCyclicOpenWithWorkspace(ins, nil)
+}
 
 // PackCyclicGuarded constructs a cyclic scheme approaching the Lemma 5.1
 // optimum on general open+guarded instances by acyclic-layer packing
@@ -338,7 +357,7 @@ func SolveCyclicOpen(ins *Instance) (float64, *Scheme, error) { return core.Solv
 // returned rate is certified by construction; it matches T within 1e-6
 // relative on every tested instance family.
 func PackCyclicGuarded(ins *Instance, T float64) (*Scheme, float64, error) {
-	return core.PackCyclicGuarded(ins, T)
+	return core.PackCyclicGuardedWithWorkspace(ins, T, nil)
 }
 
 // Omega1 and Omega2 are the canonical interleavings of Theorem 6.2's
@@ -350,7 +369,7 @@ func Omega2(n, m int) (Word, error) { return core.Omega2(n, m) }
 
 // BestCanonicalThroughput evaluates max(T*_ac(ω1), T*_ac(ω2)).
 func BestCanonicalThroughput(ins *Instance) (float64, Word, error) {
-	return core.BestCanonicalThroughput(ins)
+	return core.BestCanonicalThroughputWithWorkspace(ins, nil)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/engine"
 )
 
 // TestFacadeEndToEnd drives the complete public API surface on the
@@ -117,6 +118,39 @@ func TestFacadeCyclicOpen(t *testing.T) {
 	}
 	if !a.IsAcyclic() {
 		t.Fatal("Algorithm 1 scheme not acyclic")
+	}
+}
+
+// TestFacadePooledCallsReturnWorkspaces: the facade calls that borrow
+// from the engine's workspace pool give the lease back, so
+// engine.LeasedWorkspaces returns to its baseline after each.
+func TestFacadePooledCallsReturnWorkspaces(t *testing.T) {
+	base := engine.LeasedWorkspaces()
+	ins := repro.Figure1Instance()
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"SolveAcyclic", func() error { _, _, err := repro.SolveAcyclic(ins); return err }},
+		{"OptimalAcyclicThroughput", func() error { _, _, err := repro.OptimalAcyclicThroughput(ins); return err }},
+		{"FeasibleAcyclic", func() error { repro.FeasibleAcyclic(ins, 4); return nil }},
+		{"RepairAcyclic", func() error { _, err := repro.RepairAcyclic(ins, repro.Word{}); return err }},
+		{"RepairAcyclic/warm", func() error {
+			_, w, err := repro.OptimalAcyclicThroughput(ins)
+			if err != nil {
+				return err
+			}
+			_, err = repro.RepairAcyclic(repro.MustInstance(6, []float64{5, 5, 2}, []float64{4, 1}), w)
+			return err
+		}},
+	}
+	for _, c := range calls {
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := engine.LeasedWorkspaces(); got != base {
+			t.Fatalf("%s: %d workspaces leased after the call, want %d", c.name, got, base)
+		}
 	}
 }
 
