@@ -95,7 +95,7 @@ func BenchmarkFigure7Grid(b *testing.B) {
 	// A 20×20 corner of the Figure 7 grid with 5 Δ-samples; the cmd
 	// regenerates the full 100×100 surface.
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure7(20, 20, 1, 5); err != nil {
+		if _, err := experiments.Figure7(context.Background(), 20, 20, 1, 5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func BenchmarkFigure19Cell(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.AverageCase(cfg); err != nil {
+				if _, err := experiments.AverageCase(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -546,6 +546,17 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
+// newServer builds a service, failing the benchmark when the
+// configuration cannot be realized.
+func newServer(b *testing.B, cfg service.Config) *service.Server {
+	b.Helper()
+	svc, err := service.NewServer(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return svc
+}
+
 func benchSize(n int) string {
 	switch {
 	case n >= 1000000:
@@ -579,7 +590,7 @@ func itoa(n int) string {
 // real solve (the memoized path is BenchmarkServiceSolveCached).
 // Gated in CI via BENCH_baseline.json.
 func BenchmarkServiceSolve(b *testing.B) {
-	svc := service.New(service.Config{Workers: 2, CacheSize: -1})
+	svc := newServer(b, service.Config{Workers: 2, CacheSize: -1})
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
@@ -633,7 +644,7 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		svc := service.New(service.Config{Workers: 1})
+		svc := newServer(b, service.Config{Workers: 1})
 		defer svc.Close()
 		post(b, svc, baseBody) // warm the workspace pool like the hot path's priming call
 		bodies := make([][]byte, b.N)
@@ -654,7 +665,7 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 		}
 	})
 	b.Run("hot", func(b *testing.B) {
-		svc := service.New(service.Config{Workers: 1})
+		svc := newServer(b, service.Config{Workers: 1})
 		defer svc.Close()
 		post(b, svc, baseBody) // prime the cache
 		b.ReportAllocs()
@@ -680,9 +691,9 @@ func BenchmarkServiceSolveCached(b *testing.B) {
 //	       admission policy skips the re-spill.
 //
 // (BenchmarkServiceSolveCached's cold is deliberately *not* the
-// reference: it disables the cache, so it skips the canonical-key
-// encode, cache insert, neighbor scan, and store spill that every
-// production miss pays.) Each iteration checks the X-Bmpcast-Cache
+// reference: it runs the default cache without a plan store, so it
+// skips the neighbor scan and store spill that every production miss
+// pays.) Each iteration checks the X-Bmpcast-Cache
 // label, so the benchmark fails loudly if a tier stops engaging. The
 // acceptance bar is warm strictly between hot (BenchmarkServiceSolve-
 // Cached/hot) and cold. Gated in CI via BENCH_baseline.json.
@@ -749,7 +760,7 @@ func BenchmarkServiceSolveWarm(b *testing.B) {
 // the first measure the steady-state remote hit path. Gated in CI via
 // BENCH_baseline.json.
 func BenchmarkClientRoundTrip(b *testing.B) {
-	svc := service.New(service.Config{Workers: 2})
+	svc := newServer(b, service.Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()

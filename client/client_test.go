@@ -33,10 +33,21 @@ func connect(t *testing.T, base string, r client.Retry) *client.Client {
 	return c
 }
 
+// newServer builds a daemon, failing the test when the configuration
+// cannot be realized.
+func newServer(t *testing.T, cfg service.Config) *service.Server {
+	t.Helper()
+	srv, err := service.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // newService spins an in-process daemon and a client wired to it.
 func newService(t *testing.T) (*service.Server, *client.Client) {
 	t.Helper()
-	srv := service.New(service.Config{Workers: 4})
+	srv := newServer(t, service.Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, connect(t, ts.URL, client.Retry{Retries: 2, Backoff: time.Millisecond})
@@ -221,7 +232,7 @@ func (p *flakyProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func TestRetryRidesThroughTransientFailures(t *testing.T) {
-	srv := service.New(service.Config{Workers: 2})
+	srv := newServer(t, service.Config{Workers: 2})
 	proxy := &flakyProxy{backend: srv, budget: 2}
 	ts := httptest.NewServer(proxy)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -253,7 +264,7 @@ func TestRetryGivesUpWithinBudget(t *testing.T) {
 
 func TestTypedFailuresAreNotRetried(t *testing.T) {
 	var hits atomic.Int64
-	srv := service.New(service.Config{Workers: 2})
+	srv := newServer(t, service.Config{Workers: 2})
 	counting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
 		srv.ServeHTTP(w, r)
@@ -295,7 +306,7 @@ func TestContextCancelsBackoff(t *testing.T) {
 // the job drains (the acceptance leak check, SDK-side).
 func TestStreamDisconnectLeavesNoWorkspaceLeaked(t *testing.T) {
 	base := leakcheck.Snapshot()
-	srv := service.New(service.Config{Workers: 4})
+	srv := newServer(t, service.Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	c := connect(t, ts.URL, client.Retry{Retries: 2, Backoff: time.Millisecond})
@@ -379,7 +390,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestBaseURLTrailingSlash(t *testing.T) {
-	srv := service.New(service.Config{Workers: 2})
+	srv := newServer(t, service.Config{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	c := connect(t, ts.URL+"/", client.Retry{})

@@ -1,12 +1,9 @@
 package main
 
 import (
-	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
-
-	"repro/internal/service"
 )
 
 // TestLoadgenAgainstLiveService drives the whole loadgen path — trace
@@ -14,13 +11,10 @@ import (
 // report — against an in-process service, the same assertion shape as
 // the CI loadgen-smoke job: report parses, zero errors everywhere.
 func TestLoadgenAgainstLiveService(t *testing.T) {
-	svc := service.New(service.Config{Workers: 4})
-	defer svc.Close()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
+	url := startDaemon(t)
 
 	var out strings.Builder
-	code := run([]string{"loadgen", "-addr", ts.URL, "-rps", "200", "-duration", "500ms",
+	code := run([]string{"loadgen", "-addr", url, "-rps", "200", "-duration", "500ms",
 		"-n", "10", "-seed", "1", "-pjob", "0.3", "-jobbatch", "3"}, &out, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())
@@ -40,13 +34,10 @@ func TestLoadgenAgainstLiveService(t *testing.T) {
 // TestLoadgenBenchFormat: -format bench emits go-bench-style lines
 // with the percentile metrics cmd/benchjson parses and gates.
 func TestLoadgenBenchFormat(t *testing.T) {
-	svc := service.New(service.Config{Workers: 4})
-	defer svc.Close()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
+	url := startDaemon(t)
 
 	var out strings.Builder
-	code := run([]string{"loadgen", "-addr", ts.URL, "-rps", "200", "-duration", "300ms",
+	code := run([]string{"loadgen", "-addr", url, "-rps", "200", "-duration", "300ms",
 		"-n", "10", "-seed", "2", "-pjob", "0.3", "-format", "bench"}, &out, &out)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out.String())

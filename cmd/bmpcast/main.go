@@ -418,12 +418,7 @@ func runSweep(stdout io.Writer, dist distribution.Distribution, n int, p float64
 			V: wire.Version, Dist: dist.Name(), N: n, P: p, Count: count,
 			Solver: solverName, Seed: seed,
 			RatioMean: rs.Mean, RatioMedian: rs.Median, RatioP025: rs.P025, RatioMin: rs.Min,
-			Evals: wire.EvalCounts{
-				FlowEvals:   evals.FlowEvals,
-				GreedyTests: evals.GreedyTests,
-				WordEvals:   evals.WordEvals,
-				Builds:      evals.Builds,
-			},
+			Evals: evals.EvalCounts,
 		})
 	}
 	fmt.Fprintf(stdout, "sweep: %d × (%s, n=%d, p=%.2f) via %s, seed %d\n",
@@ -454,7 +449,7 @@ type sweepReport struct {
 	RatioMedian float64         `json:"ratio_median"`
 	RatioP025   float64         `json:"ratio_p025"`
 	RatioMin    float64         `json:"ratio_min"`
-	Evals       wire.EvalCounts `json:"evals"`
+	Evals       core.EvalCounts `json:"evals"`
 }
 
 func writeSweepWire(out io.Writer, rep sweepReport) error {
@@ -505,7 +500,7 @@ func sweepRemote(out io.Writer, instances []*platform.Instance, p sweepParams, u
 	defer stream.Close()
 
 	ratios := make([]float64, 0, len(instances))
-	var evals wire.EvalCounts
+	var evals core.EvalCounts
 	for {
 		item, err := stream.Next()
 		if err == io.EOF {
@@ -519,10 +514,7 @@ func sweepRemote(out io.Writer, instances []*platform.Instance, p sweepParams, u
 		}
 		// Instances are tight (T* = b0), as in the local path.
 		ratios = append(ratios, item.Plan.Throughput/instances[item.Index].B0)
-		evals.FlowEvals += item.Plan.Evals.FlowEvals
-		evals.GreedyTests += item.Plan.Evals.GreedyTests
-		evals.WordEvals += item.Plan.Evals.WordEvals
-		evals.Builds += item.Plan.Evals.Builds
+		evals = evals.Add(item.Plan.Evals)
 	}
 	elapsed := time.Since(start)
 	rs := stats.Summarize(ratios)

@@ -254,7 +254,10 @@ func TestServeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(service.Config{Workers: 2})
+	svc, err := service.NewServer(service.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
@@ -317,7 +320,10 @@ func TestJobsStreamGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := service.New(service.Config{Workers: 2})
+	svc, err := service.NewServer(service.Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
@@ -387,7 +393,10 @@ func TestJobsStreamGolden(t *testing.T) {
 // and returns its base URL — the daemon `-remote` routes through.
 func startDaemon(t *testing.T) string {
 	t.Helper()
-	svc := service.New(service.Config{Workers: 4})
+	svc, err := service.NewServer(service.Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(svc)
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	return ts.URL

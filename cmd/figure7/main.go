@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	cells, err := experiments.Figure7Ctx(context.Background(), *maxN, *maxM, *stride, *deltas)
+	cells, err := experiments.Figure7(context.Background(), *maxN, *maxM, *stride, *deltas)
 	if err != nil {
 		fmt.Fprintln(stderr, "figure7:", err)
 		return 1

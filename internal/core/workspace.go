@@ -55,39 +55,54 @@ type wCand struct {
 // making throughput-verification cost and scratch churn observable in
 // sweeps.
 type WorkspaceStats struct {
-	// FlowEvals is the number of s-t max-flow queries answered.
-	FlowEvals int64
-	// GreedyTests is the number of Algorithm 2 feasibility probes.
-	GreedyTests int64
-	// WordEvals is the number of per-word throughput evaluations.
-	WordEvals int64
-	// Builds is the number of scheme constructions.
-	Builds int64
+	EvalCounts
 	// Grows is how many times a scratch buffer had to (re)allocate;
 	// zero across a warm run is the zero-allocation steady state.
 	Grows int64
 }
 
+// EvalCounts is the deterministic part of WorkspaceStats: the
+// algorithmic evaluation counters that plan documents, session stats,
+// sweep reports and the churn timeline carry. Grows is left out — it
+// depends on how warm a pooled workspace happens to be (process
+// history), and those documents must be byte-identical across runs.
+type EvalCounts struct {
+	// FlowEvals is the number of s-t max-flow queries answered.
+	FlowEvals int64 `json:"flow_evals"`
+	// GreedyTests is the number of Algorithm 2 feasibility probes.
+	GreedyTests int64 `json:"greedy_tests"`
+	// WordEvals is the number of per-word throughput evaluations.
+	WordEvals int64 `json:"word_evals"`
+	// Builds is the number of scheme constructions.
+	Builds int64 `json:"builds"`
+}
+
+// Add returns the component-wise sum c + other (for sweep aggregation).
+func (c EvalCounts) Add(other EvalCounts) EvalCounts {
+	return EvalCounts{
+		FlowEvals:   c.FlowEvals + other.FlowEvals,
+		GreedyTests: c.GreedyTests + other.GreedyTests,
+		WordEvals:   c.WordEvals + other.WordEvals,
+		Builds:      c.Builds + other.Builds,
+	}
+}
+
 // Sub returns s - prev, the evaluation cost between two snapshots.
 func (s WorkspaceStats) Sub(prev WorkspaceStats) WorkspaceStats {
 	return WorkspaceStats{
-		FlowEvals:   s.FlowEvals - prev.FlowEvals,
-		GreedyTests: s.GreedyTests - prev.GreedyTests,
-		WordEvals:   s.WordEvals - prev.WordEvals,
-		Builds:      s.Builds - prev.Builds,
-		Grows:       s.Grows - prev.Grows,
+		EvalCounts: EvalCounts{
+			FlowEvals:   s.FlowEvals - prev.FlowEvals,
+			GreedyTests: s.GreedyTests - prev.GreedyTests,
+			WordEvals:   s.WordEvals - prev.WordEvals,
+			Builds:      s.Builds - prev.Builds,
+		},
+		Grows: s.Grows - prev.Grows,
 	}
 }
 
 // Add returns the component-wise sum s + other (for sweep aggregation).
 func (s WorkspaceStats) Add(other WorkspaceStats) WorkspaceStats {
-	return WorkspaceStats{
-		FlowEvals:   s.FlowEvals + other.FlowEvals,
-		GreedyTests: s.GreedyTests + other.GreedyTests,
-		WordEvals:   s.WordEvals + other.WordEvals,
-		Builds:      s.Builds + other.Builds,
-		Grows:       s.Grows + other.Grows,
-	}
+	return WorkspaceStats{EvalCounts: s.EvalCounts.Add(other.EvalCounts), Grows: s.Grows + other.Grows}
 }
 
 // NewWorkspace returns an empty workspace.

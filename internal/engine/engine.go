@@ -1,7 +1,7 @@
 // Package engine is the unified dispatch layer over every broadcast
 // algorithm of the paper. It exposes three things:
 //
-//   - Solver, a uniform interface (Name, Capabilities, context-aware
+//   - Solver, a uniform front (Name, Capabilities, context-aware
 //     Solve) wrapping each algorithm of internal/core;
 //   - Registry, a named catalogue of solvers with capability filtering —
 //     the Default registry holds every paper algorithm, so CLIs,
@@ -152,17 +152,6 @@ type Result struct {
 	Evals core.WorkspaceStats
 }
 
-// Solver is one broadcast algorithm behind a uniform, context-aware
-// front. Solve must be safe for concurrent use (all paper algorithms
-// are: they share no mutable state) and should honor ctx cancellation at
-// least on entry — the closed-form and near-linear algorithms finish in
-// microseconds, so finer-grained checks buy nothing.
-type Solver interface {
-	Name() string
-	Capabilities() Capability
-	Solve(ctx context.Context, ins *platform.Instance) (Result, error)
-}
-
 // wsPool is the engine's workspace pool: Batch/ForEach workers (and any
 // direct Solve caller) reuse one warm core.Workspace per goroutine
 // across a whole sweep, so the per-instance evaluation pipeline reaches
@@ -211,8 +200,15 @@ func WorkspaceGrows() int64 { return wsGrows.Load() }
 // warm start does not hold up.
 type RepairFunc func(*platform.Instance, core.Word, *core.Workspace) (core.RepairResult, error)
 
-// funcSolver adapts a plain function to the Solver interface.
-type funcSolver struct {
+// Solver is one broadcast algorithm behind a uniform, context-aware
+// front: a name, a capability set, the algorithm's solve function and,
+// for CapIncremental solvers, its warm-start repair function. Build one
+// with NewSolver or NewIncrementalSolver. Solve is safe for concurrent
+// use (all paper algorithms are: they share no mutable state) and
+// honors ctx cancellation on entry — the closed-form and near-linear
+// algorithms finish in microseconds, so finer-grained checks buy
+// nothing.
+type Solver struct {
 	name   string
 	caps   Capability
 	solve  func(*platform.Instance, *core.Workspace) (Result, error)
@@ -224,32 +220,51 @@ type funcSolver struct {
 // around fn: Solve hands fn a pooled workspace and records the
 // evaluation-counter delta in Result.Evals. fn may ignore the
 // workspace; it must not retain it past the call.
-func NewSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error)) Solver {
+func NewSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error)) *Solver {
 	if caps.Has(CapIncremental) {
 		panic(fmt.Sprintf("engine: solver %q declares CapIncremental without a repair function — use NewIncrementalSolver", name))
 	}
-	return &funcSolver{name: name, caps: caps, solve: fn}
+	return &Solver{name: name, caps: caps, solve: fn}
 }
 
 // NewIncrementalSolver is NewSolver for solvers that additionally
 // support Session-driven incremental re-solve: repair is the warm-start
 // entry point Sessions call between events. CapIncremental is implied.
-func NewIncrementalSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error), repair RepairFunc) Solver {
+func NewIncrementalSolver(name string, caps Capability, fn func(*platform.Instance, *core.Workspace) (Result, error), repair RepairFunc) *Solver {
 	if repair == nil {
 		panic(fmt.Sprintf("engine: incremental solver %q needs a repair function", name))
 	}
-	return &funcSolver{name: name, caps: caps | CapIncremental, solve: fn, repair: repair}
+	return &Solver{name: name, caps: caps | CapIncremental, solve: fn, repair: repair}
 }
 
-func (f *funcSolver) Name() string             { return f.name }
-func (f *funcSolver) Capabilities() Capability { return f.caps }
-func (f *funcSolver) Solve(ctx context.Context, ins *platform.Instance) (Result, error) {
+// Name returns the solver's registry name.
+func (s *Solver) Name() string { return s.name }
+
+// Capabilities returns what the solver guarantees.
+func (s *Solver) Capabilities() Capability { return s.caps }
+
+// Solve runs the algorithm from scratch on a pooled workspace.
+func (s *Solver) Solve(ctx context.Context, ins *platform.Instance) (Result, error) {
 	ws := AcquireWorkspace()
 	defer ReleaseWorkspace(ws)
-	return f.solveWith(ctx, ins, ws)
+	return s.run(ctx, ins, ws, nil, false)
 }
 
-func (f *funcSolver) solveWith(ctx context.Context, ins *platform.Instance, ws *core.Workspace) (Result, error) {
+// SolveIsolated runs s on a dedicated, never-pooled workspace — the
+// reference path the pooled path is validated against (pooled and
+// isolated solves must be byte-identical; see the equivalence tests).
+func SolveIsolated(ctx context.Context, s *Solver, ins *platform.Instance) (Result, error) {
+	return s.run(ctx, ins, core.NewWorkspace(), nil, false)
+}
+
+// run is the one solve step behind Solve, SolveIsolated, a request's
+// warm start and Session.Resolve. With viaRepair set, an incremental
+// solver answers through its repair function, warm-starting from prev
+// (a nil prev forces the full solve inside it, which still pays the
+// repair contract's verification); every other call runs the plain
+// solve function. The result is stamped by finishResult, and Repaired
+// is set when the warm start held.
+func (s *Solver) run(ctx context.Context, ins *platform.Instance, ws *core.Workspace, prev core.Word, viaRepair bool) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
@@ -259,11 +274,20 @@ func (f *funcSolver) solveWith(ctx context.Context, ins *platform.Instance, ws *
 	ws.Prealloc(ins.Total())
 	before := ws.Stats()
 	start := time.Now()
-	res, err := f.solve(ins, ws)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: %w", f.name, err)
+	var res Result
+	if viaRepair && s.repair != nil {
+		rr, err := s.repair(ins, prev, ws)
+		if err != nil {
+			return Result{}, fmt.Errorf("%s: %w", s.name, err)
+		}
+		res = Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified, Repaired: !rr.FellBack}
+	} else {
+		var err error
+		if res, err = s.solve(ins, ws); err != nil {
+			return Result{}, fmt.Errorf("%s: %w", s.name, err)
+		}
 	}
-	finishResult(&res, f.name, ws.Stats().Sub(before), start)
+	finishResult(&res, s.name, ws.Stats().Sub(before), start)
 	return res, nil
 }
 
@@ -271,7 +295,6 @@ func (f *funcSolver) solveWith(ctx context.Context, ins *platform.Instance, ws *
 // after the algorithm returns: solver name, scheme-derived degree
 // statistics, the workspace evaluation delta and the wall clock. The
 // scheme is compacted here, before any cache or job can retain it.
-// Shared by the registry Solve path and the Session resolve path.
 func finishResult(res *Result, name string, evals core.WorkspaceStats, start time.Time) {
 	res.Solver = name
 	if res.Scheme != nil {
@@ -287,30 +310,19 @@ func finishResult(res *Result, name string, evals core.WorkspaceStats, start tim
 	wsGrows.Add(evals.Grows)
 }
 
-// SolveIsolated runs s on a dedicated, never-pooled workspace — the
-// reference path the pooled path is validated against (pooled and
-// isolated solves must be byte-identical; see the equivalence tests).
-// Solvers not created by NewSolver fall back to their own Solve.
-func SolveIsolated(ctx context.Context, s Solver, ins *platform.Instance) (Result, error) {
-	if f, ok := s.(*funcSolver); ok {
-		return f.solveWith(ctx, ins, core.NewWorkspace())
-	}
-	return s.Solve(ctx, ins)
-}
-
 // Registry is a named catalogue of solvers.
 type Registry struct {
 	mu      sync.RWMutex
-	solvers map[string]Solver
+	solvers map[string]*Solver
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{solvers: make(map[string]Solver)}
+	return &Registry{solvers: make(map[string]*Solver)}
 }
 
 // Register adds a solver; empty or duplicate names are errors.
-func (r *Registry) Register(s Solver) error {
+func (r *Registry) Register(s *Solver) error {
 	if s == nil || s.Name() == "" {
 		return fmt.Errorf("engine: solver must have a name")
 	}
@@ -324,14 +336,14 @@ func (r *Registry) Register(s Solver) error {
 }
 
 // MustRegister is Register that panics on error (for init-time wiring).
-func (r *Registry) MustRegister(s Solver) {
+func (r *Registry) MustRegister(s *Solver) {
 	if err := r.Register(s); err != nil {
 		panic(err)
 	}
 }
 
 // Get resolves a solver by name; the error lists the known names.
-func (r *Registry) Get(name string) (Solver, error) {
+func (r *Registry) Get(name string) (*Solver, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if s, ok := r.solvers[name]; ok {
@@ -358,10 +370,10 @@ func (r *Registry) names() []string {
 
 // Select returns the solvers whose capabilities include every bit of
 // need, sorted by name.
-func (r *Registry) Select(need Capability) []Solver {
+func (r *Registry) Select(need Capability) []*Solver {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var out []Solver
+	var out []*Solver
 	for _, s := range r.solvers {
 		if s.Capabilities().Has(need) {
 			out = append(out, s)
@@ -376,10 +388,10 @@ func (r *Registry) Select(need Capability) []Solver {
 var Default = NewRegistry()
 
 // Get resolves a name against the Default registry.
-func Get(name string) (Solver, error) { return Default.Get(name) }
+func Get(name string) (*Solver, error) { return Default.Get(name) }
 
 // Names lists the Default registry, sorted.
 func Names() []string { return Default.Names() }
 
 // Select filters the Default registry by capability.
-func Select(need Capability) []Solver { return Default.Select(need) }
+func Select(need Capability) []*Solver { return Default.Select(need) }

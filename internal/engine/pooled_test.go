@@ -138,7 +138,7 @@ func TestResultEvalsCounters(t *testing.T) {
 	ws := core.NewWorkspace()
 	var last Result
 	for i := 0; i < 3; i++ {
-		last, err = s.(*funcSolver).solveWith(context.Background(), ins, ws)
+		last, err = s.run(context.Background(), ins, ws, nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,5 +151,101 @@ func TestResultEvalsCounters(t *testing.T) {
 	}
 	if last.Evals.Grows != 0 {
 		t.Fatalf("warm workspace still grew scratch: %+v", last.Evals)
+	}
+}
+
+// TestIsolatedStepMatchesPooledCallers replays one churn sequence
+// through two callers of the shared solve step and compares each
+// answer with the same step on a fresh workspace, bit for bit on
+// throughput and verified throughput, plus word, eval counters and
+// Repaired:
+//
+//   - a warm-start Execute (WithWarmStart, pooled workspace) against
+//     the acyclic repair run on a fresh workspace, which must hold at
+//     least once;
+//   - a Session over a non-incremental solver, which carries a word
+//     between events yet must never report a repair or a fallback.
+func TestIsolatedStepMatchesPooledCallers(t *testing.T) {
+	ctx := context.Background()
+	ses, err := NewSession("acyclic-search")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ses.Close()
+	cases := []struct {
+		name, solver string
+		got          func(ins *platform.Instance, prev core.Word) (Result, error)
+		fresh        func(s *Solver, ins *platform.Instance, prev core.Word) (Result, error)
+		repairs      bool
+	}{
+		{
+			name:   "warm-start Execute",
+			solver: "acyclic",
+			got: func(ins *platform.Instance, prev core.Word) (Result, error) {
+				plan, err := Execute(ctx, NewRequest(ins, WithWarmStart(prev)))
+				if err != nil {
+					return Result{}, err
+				}
+				return plan.Result, nil
+			},
+			fresh: func(s *Solver, ins *platform.Instance, prev core.Word) (Result, error) {
+				return s.run(ctx, ins, core.NewWorkspace(), prev, len(prev) > 0)
+			},
+			repairs: true,
+		},
+		{
+			name:   "non-incremental Session",
+			solver: "acyclic-search",
+			got: func(ins *platform.Instance, _ core.Word) (Result, error) {
+				return ses.Resolve(ctx, ins)
+			},
+			fresh: func(s *Solver, ins *platform.Instance, _ core.Word) (Result, error) {
+				return SolveIsolated(ctx, s, ins)
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Get(tc.solver)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ins, muts := churnSequence(t, 11, 15)
+			var prev core.Word
+			repairs := 0
+			for i := -1; i < len(muts); i++ {
+				if i >= 0 {
+					muts[i](ins)
+				}
+				got, err := tc.got(ins, prev)
+				if err != nil {
+					t.Fatalf("event %d: %v", i, err)
+				}
+				want, err := tc.fresh(s, ins, prev)
+				if err != nil {
+					t.Fatalf("event %d fresh: %v", i, err)
+				}
+				if math.Float64bits(got.Throughput) != math.Float64bits(want.Throughput) ||
+					math.Float64bits(got.Verified) != math.Float64bits(want.Verified) {
+					t.Fatalf("event %d: T %v verified %v, fresh T %v verified %v",
+						i, got.Throughput, got.Verified, want.Throughput, want.Verified)
+				}
+				if got.Word.String() != want.Word.String() || got.Evals.EvalCounts != want.Evals.EvalCounts ||
+					got.Repaired != want.Repaired {
+					t.Fatalf("event %d: word %s evals %+v repaired %v, fresh word %s evals %+v repaired %v",
+						i, got.Word, got.Evals.EvalCounts, got.Repaired, want.Word, want.Evals.EvalCounts, want.Repaired)
+				}
+				if got.Repaired {
+					repairs++
+				}
+				prev = got.Word
+			}
+			if (repairs > 0) != tc.repairs {
+				t.Fatalf("%d of %d events repaired, want repairs=%v", repairs, len(muts)+1, tc.repairs)
+			}
+		})
+	}
+	if st := ses.Stats(); st.Repairs != 0 || st.Fallbacks != 0 || st.FullSolves != st.Events {
+		t.Fatalf("non-incremental session stats %+v, want only full solves", st)
 	}
 }

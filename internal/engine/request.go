@@ -181,7 +181,11 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 		return nil, fmt.Errorf("%w: solver %q does not build schemes", ErrInfeasible, s.Name())
 	}
 
-	res, err := solveRequest(ctx, s, req)
+	// A warm-start word routes an incremental solver through its repair
+	// function; other solvers ignore it.
+	ws := AcquireWorkspace()
+	defer ReleaseWorkspace(ws)
+	res, err := s.run(ctx, req.Instance, ws, req.PrevWord, len(req.PrevWord) > 0)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, canceledErr(ctxErr)
@@ -194,9 +198,7 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 		return nil, fmt.Errorf("%w: solver %q returned no scheme for this instance", ErrInfeasible, s.Name())
 	}
 	if req.Tolerance > 0 && plan.Scheme != nil && plan.Verified == 0 {
-		ws := AcquireWorkspace()
 		plan.Verified = plan.Scheme.ThroughputWithWorkspace(ws)
-		ReleaseWorkspace(ws)
 		if plan.Verified < plan.Throughput*(1-req.Tolerance) {
 			return nil, fmt.Errorf("%w: scheme verifies at %g, below claimed %g beyond tolerance %g",
 				ErrInfeasible, plan.Verified, plan.Throughput, req.Tolerance)
@@ -221,7 +223,7 @@ func (r *Registry) executeUncached(ctx context.Context, req Request) (*Plan, err
 
 // resolve picks the request's solver: by name, by capability selector,
 // or the default algorithm.
-func (r *Registry) resolve(req Request) (Solver, error) {
+func (r *Registry) resolve(req Request) (*Solver, error) {
 	if req.Solver != "" {
 		return r.Get(req.Solver)
 	}
@@ -236,31 +238,6 @@ func (r *Registry) resolve(req Request) (Solver, error) {
 		return sel[0], nil
 	}
 	return nil, fmt.Errorf("%w: no registered solver provides %s", ErrUnknownSolver, need)
-}
-
-// solveRequest runs the solver, routing through its repair entry point
-// when the request carries a warm-start word and the solver supports
-// incremental re-solve.
-func solveRequest(ctx context.Context, s Solver, req Request) (Result, error) {
-	fn, _ := s.(*funcSolver)
-	if len(req.PrevWord) == 0 || fn == nil || fn.repair == nil {
-		return s.Solve(ctx, req.Instance)
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, canceledErr(err)
-	}
-	ws := AcquireWorkspace()
-	defer ReleaseWorkspace(ws)
-	before := ws.Stats()
-	start := time.Now()
-	rr, err := fn.repair(req.Instance, req.PrevWord, ws)
-	if err != nil {
-		return Result{}, fmt.Errorf("%s: %w", fn.name, err)
-	}
-	res := Result{Throughput: rr.T, Scheme: rr.Scheme, Word: rr.Word, Verified: rr.Verified}
-	finishResult(&res, fn.name, ws.Stats().Sub(before), start)
-	res.Repaired = !rr.FellBack
-	return res, nil
 }
 
 // ExecuteBatch runs one request per instance-shaped entry on the

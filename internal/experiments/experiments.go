@@ -77,15 +77,12 @@ type Figure7Cell struct {
 // exploration of "all possible tight and homogeneous instances").
 // The surface floor is 5/7 and the asymptotic valley ≈ 0.925 runs along
 // m ≈ ((√41−3)/8)·n ≈ 0.425·n.
-func Figure7(maxN, maxM, stride, deltaSamples int) ([]Figure7Cell, error) {
-	return Figure7Ctx(context.Background(), maxN, maxM, stride, deltaSamples)
-}
-
-// Figure7Ctx is Figure7 with cancellation. Cells are solved on the
-// engine worker pool (one job per grid cell, each resolving the
-// registered acyclic-search solver per Δ-sample) and land pre-sorted in
-// (n, m) order because the pool preserves job indexing.
-func Figure7Ctx(ctx context.Context, maxN, maxM, stride, deltaSamples int) ([]Figure7Cell, error) {
+//
+// Cells are solved on the engine worker pool (one job per grid cell,
+// each resolving the registered acyclic-search solver per Δ-sample)
+// and land pre-sorted in (n, m) order because the pool preserves job
+// indexing; cancelling ctx stops the sweep.
+func Figure7(ctx context.Context, maxN, maxM, stride, deltaSamples int) ([]Figure7Cell, error) {
 	if stride < 1 {
 		stride = 1
 	}
@@ -200,15 +197,11 @@ type AvgCaseCell struct {
 
 // AverageCase runs the Appendix XII study and returns one cell per
 // (distribution, p, n) combination, in configuration order.
-func AverageCase(cfg AvgCaseConfig) ([]AvgCaseCell, error) {
-	return AverageCaseCtx(context.Background(), cfg)
-}
-
-// AverageCaseCtx is AverageCase with cancellation. Repetitions run on
-// the engine worker pool; each repetition derives its own seeded
-// *rand.Rand via RepRNG, so results are identical run-to-run and
-// independent of worker scheduling.
-func AverageCaseCtx(ctx context.Context, cfg AvgCaseConfig) ([]AvgCaseCell, error) {
+// Repetitions run on the engine worker pool; each repetition derives
+// its own seeded *rand.Rand via RepRNG, so results are identical
+// run-to-run and independent of worker scheduling. Cancelling ctx
+// stops the study.
+func AverageCase(ctx context.Context, cfg AvgCaseConfig) ([]AvgCaseCell, error) {
 	if cfg.Reps < 1 {
 		return nil, fmt.Errorf("experiments: Reps must be ≥ 1")
 	}

@@ -24,7 +24,7 @@ func TestTableIText(t *testing.T) {
 }
 
 func TestFigure7SmallGrid(t *testing.T) {
-	cells, err := Figure7(12, 12, 1, 5)
+	cells, err := Figure7(context.Background(), 12, 12, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAverageCaseSmall(t *testing.T) {
 		Reps:          30,
 		Seed:          99,
 	}
-	cells, err := AverageCase(cfg)
+	cells, err := AverageCase(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +133,11 @@ func TestAverageCaseDeterministic(t *testing.T) {
 		Reps:          20,
 		Seed:          5,
 	}
-	a, err := AverageCase(cfg)
+	a, err := AverageCase(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AverageCase(cfg)
+	b, err := AverageCase(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestAvgCaseCSV(t *testing.T) {
 		Reps:          5,
 		Seed:          1,
 	}
-	cells, err := AverageCase(cfg)
+	cells, err := AverageCase(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -203,7 +203,7 @@ func TestHedgedForwardUnderSlowPeerLeaksNothing(t *testing.T) {
 // the job's own bounded buffer, and the stalled writer blocks on the
 // socket, not on a worker.
 func TestSlowStreamReaderDoesNotStarveOtherJobs(t *testing.T) {
-	srv := New(Config{Workers: 2})
+	srv := newServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	base := engine.LeasedWorkspaces()

@@ -69,7 +69,7 @@ func startCluster(t *testing.T, n int, opts clusterOpts) ([]*Server, []string) {
 		if opts.peersFor != nil {
 			peers = opts.peersFor(i, urls)
 		}
-		srvs[i] = New(Config{Workers: 4, Self: urls[i], Peers: peers, HedgeAfter: opts.hedge})
+		srvs[i] = newServer(t, Config{Workers: 4, Self: urls[i], Peers: peers, HedgeAfter: opts.hedge})
 		var h http.Handler = srvs[i]
 		if opts.wrap != nil {
 			h = opts.wrap(i, urls, h)

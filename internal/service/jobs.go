@@ -240,11 +240,7 @@ func (s *Server) runJob(j *job, reqs []engine.Request) {
 			// Guarded by !canceled: after shutdown starts, another select
 			// could still win a freed permit and strand it — once canceled,
 			// the remaining items are marked without touching the gate.
-			select {
-			case s.gate <- struct{}{}:
-			case <-s.jobsCtx.Done():
-				canceled = true
-			}
+			canceled = s.acquireCtx(s.jobsCtx) != nil
 		}
 		if canceled {
 			j.finishItem(i, s.jobLine(i, nil, engineCanceled(s.jobsCtx.Err())), true)

@@ -184,7 +184,7 @@ func slowBatchBody(n int) string {
 func TestJobStreamFollowsLiveJob(t *testing.T) {
 	release := make(chan struct{})
 	var solves atomic.Int64
-	srv := New(Config{Workers: 4, Registry: slowRegistry(release, &solves)})
+	srv := newServer(t, Config{Workers: 4, Registry: slowRegistry(release, &solves)})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { close(release); ts.Close(); srv.Close() })
 
@@ -352,7 +352,7 @@ func TestJobBadRequests(t *testing.T) {
 }
 
 func TestFinishedJobEviction(t *testing.T) {
-	srv := New(Config{Workers: 2, MaxJobs: 2})
+	srv := newServer(t, Config{Workers: 2, MaxJobs: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
@@ -382,7 +382,7 @@ func TestFinishedJobEviction(t *testing.T) {
 // oldest first once their NDJSON lines exceed the byte budget; the job
 // just submitted (still running) is never evicted.
 func TestFinishedJobByteBudget(t *testing.T) {
-	srv := New(Config{Workers: 2})
+	srv := newServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	setBudget := func(b int64) {
@@ -449,7 +449,7 @@ func TestCacheHitOnResubmit(t *testing.T) {
 	release := make(chan struct{})
 	close(release) // never block; we only count solves
 	var solves atomic.Int64
-	srv := New(Config{Workers: 2, Registry: slowRegistry(release, &solves)})
+	srv := newServer(t, Config{Workers: 2, Registry: slowRegistry(release, &solves)})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
@@ -520,7 +520,7 @@ func TestCacheSharedAcrossEndpoints(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	srv := New(Config{Workers: 2, CacheSize: -1})
+	srv := newServer(t, Config{Workers: 2, CacheSize: -1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(fig1Request))
@@ -545,7 +545,7 @@ func TestJobShutdownLeaksNoGatePermits(t *testing.T) {
 	release := make(chan struct{})
 	close(release) // solves never block; permits cycle rapidly
 	var solves atomic.Int64
-	srv := New(Config{Workers: 1, Registry: slowRegistry(release, &solves)})
+	srv := newServer(t, Config{Workers: 1, Registry: slowRegistry(release, &solves)})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -564,7 +564,7 @@ func TestJobShutdownLeaksNoGatePermits(t *testing.T) {
 
 // TestJobSubmitAfterCloseRejected: a closing server refuses new jobs.
 func TestJobSubmitAfterCloseRejected(t *testing.T) {
-	srv := New(Config{Workers: 2})
+	srv := newServer(t, Config{Workers: 2})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close() })
 	srv.Close()

@@ -109,8 +109,8 @@ type Config struct {
 	// requests warm-start the repair path (X-Bmpcast-Cache: warm).
 	// Requires the cache (CacheSize ≥ 0). In cluster mode the store is
 	// replica-local: the ring already partitions keys, so each replica
-	// persists only the shard it owns. Use NewServer to surface store
-	// open errors.
+	// persists only the shard it owns. A store that fails to open
+	// makes NewServer return the error.
 	StoreDir string
 	// StoreEditBudget caps the node-multiset edit distance for
 	// warm-start neighbors (0 means planstore.DefaultEditBudget).
@@ -127,9 +127,9 @@ type Config struct {
 // the reaper returns its workspace to the engine pool.
 const DefaultSessionTTL = 15 * time.Minute
 
-// Server is the broadcast-planning HTTP service. Create with New; it
-// implements http.Handler. Close releases all open sessions, cancels
-// running jobs and waits for their workers to drain.
+// Server is the broadcast-planning HTTP service. Create with
+// NewServer; it implements http.Handler. Close releases all open
+// sessions, cancels running jobs and waits for their workers to drain.
 type Server struct {
 	cfg   Config
 	gate  chan struct{}
@@ -176,17 +176,6 @@ type session struct {
 
 // touch marks the session as recently used.
 func (ss *session) touch() { ss.last.Store(time.Now().UnixNano()) }
-
-// New builds a Server. It panics when the configuration cannot be
-// realized — only possible with a StoreDir that fails to open; use
-// NewServer to handle that as an error.
-func New(cfg Config) *Server {
-	s, err := NewServer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
 
 // NewServer builds a Server, surfacing plan-store open errors (a
 // corrupt-beyond-recovery log, an unwritable directory). Without
@@ -349,9 +338,6 @@ func (s *Server) OpenSessions() int {
 	return len(s.sessions)
 }
 
-// acquire takes a worker permit, honoring request cancellation.
-func (s *Server) acquire(r *http.Request) error { return s.acquireCtx(r.Context()) }
-
 // acquireCtx takes a worker permit, honoring context cancellation.
 func (s *Server) acquireCtx(ctx context.Context) error {
 	if f, ok := chaos.Hit(chaos.GateStarve); ok {
@@ -460,7 +446,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, forwardable 
 			return
 		}
 	}
-	if err := s.acquire(r); err != nil {
+	if err := s.acquireCtx(r.Context()); err != nil {
 		s.fail(w, engineCanceled(err))
 		return
 	}
@@ -583,12 +569,8 @@ func (s *Server) executeBatch(r *http.Request, reqs []engine.Request) ([]*engine
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
 	for i := range reqs {
-		select {
-		case s.gate <- struct{}{}:
-		case <-ctx.Done():
-			errs[i] = engineCanceled(ctx.Err())
-		}
-		if errs[i] != nil {
+		if err := s.acquireCtx(ctx); err != nil {
+			errs[i] = engineCanceled(err)
 			break
 		}
 		wg.Add(1)
@@ -635,7 +617,7 @@ type sessionStats struct {
 	Repairs    int             `json:"repairs"`
 	FullSolves int             `json:"full_solves"`
 	Fallbacks  int             `json:"fallbacks"`
-	Evals      wire.EvalCounts `json:"evals"`
+	Evals      core.EvalCounts `json:"evals"`
 }
 
 // sessionResponse answers every session op: open returns the id,
@@ -656,12 +638,7 @@ func statsOf(ses *engine.Session) *sessionStats {
 		Repairs:    st.Repairs,
 		FullSolves: st.FullSolves,
 		Fallbacks:  st.Fallbacks,
-		Evals: wire.EvalCounts{
-			FlowEvals:   st.Evals.FlowEvals,
-			GreedyTests: st.Evals.GreedyTests,
-			WordEvals:   st.Evals.WordEvals,
-			Builds:      st.Evals.Builds,
-		},
+		Evals:      st.Evals.EvalCounts,
 	}
 }
 
@@ -748,7 +725,7 @@ func (s *Server) sessionResolve(w http.ResponseWriter, r *http.Request, sreq ses
 	// queue of resolves on one (single-threaded) session must not sit
 	// on gate permits it cannot use while other endpoints starve.
 	ss.mu.Lock()
-	if err := s.acquire(r); err != nil {
+	if err := s.acquireCtx(r.Context()); err != nil {
 		ss.mu.Unlock()
 		s.fail(w, engineCanceled(err))
 		return

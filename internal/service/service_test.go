@@ -21,10 +21,21 @@ const fig1Request = `{"v":1,"instance":{"v":1,"b0":6,"open":[5,5],"guarded":[4,1
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(Config{Workers: 4})
+	srv := newServer(t, Config{Workers: 4})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
+}
+
+// newServer builds a Server, failing the test when the configuration
+// cannot be realized.
+func newServer(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	srv, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 func post(t *testing.T, url, body string) (int, []byte) {
@@ -213,7 +224,7 @@ func TestSessionLifecycle(t *testing.T) {
 // workspace returned, id invalidated, reap counted. An actively used
 // session must survive the same window.
 func TestIdleSessionReaped(t *testing.T) {
-	srv := New(Config{Workers: 4, SessionTTL: 60 * time.Millisecond})
+	srv := newServer(t, Config{Workers: 4, SessionTTL: 60 * time.Millisecond})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	base := engine.LeasedWorkspaces()
@@ -387,7 +398,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 // labelled hit, each adding one hit. With room for a single entry, an
 // evicted request is a miss again: no second layer still holds it.
 func TestSolveOneMemo(t *testing.T) {
-	srv := New(Config{Workers: 2, CacheSize: 1})
+	srv := newServer(t, Config{Workers: 2, CacheSize: 1})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	canonical := string(canonicalFig1(t))

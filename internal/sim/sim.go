@@ -27,27 +27,6 @@ type RunConfig struct {
 	Timing bool
 }
 
-// EvalCounts is the deterministic subset of core.WorkspaceStats the
-// timeline reports: the algorithmic evaluation counters. The scratch
-// Grows counter is deliberately excluded — it depends on how warm the
-// pooled workspace happens to be (process history), and the timeline
-// must be byte-identical across runs.
-type EvalCounts struct {
-	FlowEvals   int64 `json:"flow_evals"`
-	GreedyTests int64 `json:"greedy_tests"`
-	WordEvals   int64 `json:"word_evals"`
-	Builds      int64 `json:"builds"`
-}
-
-func evalCounts(s core.WorkspaceStats) EvalCounts {
-	return EvalCounts{
-		FlowEvals:   s.FlowEvals,
-		GreedyTests: s.GreedyTests,
-		WordEvals:   s.WordEvals,
-		Builds:      s.Builds,
-	}
-}
-
 // SolverPoint is one solver's result on one timeline entry.
 type SolverPoint struct {
 	Solver     string  `json:"solver"`
@@ -62,7 +41,7 @@ type SolverPoint struct {
 	Repaired bool `json:"repaired"`
 	// Evals is the session's cumulative evaluation counter total up to
 	// and including this event.
-	Evals EvalCounts `json:"evals"`
+	Evals core.EvalCounts `json:"evals"`
 	// WallMS is the solve wall clock (only with RunConfig.Timing).
 	WallMS float64 `json:"wall_ms,omitempty"`
 }
@@ -80,13 +59,13 @@ type TimelineEntry struct {
 }
 
 // SessionSummary is the deterministic projection of a session's
-// cumulative counters (see EvalCounts for why Grows is absent).
+// cumulative counters (see core.EvalCounts for why Grows is absent).
 type SessionSummary struct {
-	Events     int        `json:"events"`
-	Repairs    int        `json:"repairs"`
-	FullSolves int        `json:"full_solves"`
-	Fallbacks  int        `json:"fallbacks"`
-	Evals      EvalCounts `json:"evals"`
+	Events     int             `json:"events"`
+	Repairs    int             `json:"repairs"`
+	FullSolves int             `json:"full_solves"`
+	Fallbacks  int             `json:"fallbacks"`
+	Evals      core.EvalCounts `json:"evals"`
 }
 
 // Timeline is the full deterministic record of a simulation run.
@@ -149,7 +128,7 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 				Solver:     res.Solver,
 				Throughput: res.Throughput,
 				Repaired:   res.Repaired,
-				Evals:      evalCounts(ses.Stats().Evals),
+				Evals:      ses.Stats().Evals.EvalCounts,
 			}
 			if entry.TStar > 0 {
 				sp.Ratio = res.Throughput / entry.TStar
@@ -198,7 +177,7 @@ func Run(ctx context.Context, tr *Trace, rc RunConfig) (*Timeline, error) {
 			Repairs:    st.Repairs,
 			FullSolves: st.FullSolves,
 			Fallbacks:  st.Fallbacks,
-			Evals:      evalCounts(st.Evals),
+			Evals:      st.Evals.EvalCounts,
 		}
 	}
 	return tl, nil

@@ -270,16 +270,6 @@ type Schedule struct {
 	Transmissions []Transmission `json:"transmissions"`
 }
 
-// EvalCounts is the deterministic subset of the workspace counters a
-// plan reports (scratch Grows is warmth-dependent and excluded, as in
-// the sim timeline).
-type EvalCounts struct {
-	FlowEvals   int64 `json:"flow_evals"`
-	GreedyTests int64 `json:"greedy_tests"`
-	WordEvals   int64 `json:"word_evals"`
-	Builds      int64 `json:"builds"`
-}
-
 // Plan is the wire form of an engine.Plan. Wall-clock time is
 // deliberately absent: plan documents are byte-stable for identical
 // requests, which the service golden tests rely on.
@@ -303,9 +293,9 @@ type Plan struct {
 	// and omitempty: cold plans render byte-identically to before, so
 	// the golden documents and the content-addressed store keep their
 	// byte-stability guarantee under v1.
-	WarmStarted      bool       `json:"warm_started,omitempty"`
-	NeighborDistance int        `json:"neighbor_distance,omitempty"`
-	Evals            EvalCounts `json:"evals"`
+	WarmStarted      bool            `json:"warm_started,omitempty"`
+	NeighborDistance int             `json:"neighbor_distance,omitempty"`
+	Evals            core.EvalCounts `json:"evals"`
 }
 
 // FromPlan converts a domain plan to its wire form.
@@ -321,12 +311,7 @@ func FromPlan(p *engine.Plan) Plan {
 		Verified:         p.Verified,
 		WarmStarted:      p.WarmStarted,
 		NeighborDistance: p.NeighborDistance,
-		Evals: EvalCounts{
-			FlowEvals:   p.Evals.FlowEvals,
-			GreedyTests: p.Evals.GreedyTests,
-			WordEvals:   p.Evals.WordEvals,
-			Builds:      p.Evals.Builds,
-		},
+		Evals:            p.Evals.EvalCounts,
 	}
 	if p.Scheme != nil {
 		w.MaxOutDegree = p.MaxOutDegree

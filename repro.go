@@ -138,7 +138,7 @@ var (
 
 // Solver is one broadcast algorithm behind the engine's uniform,
 // context-aware front (Name, Capabilities, Solve).
-type Solver = engine.Solver
+type Solver = *engine.Solver
 
 // SolveResult is the uniform outcome of one Solver call: throughput,
 // scheme, degree statistics and wall time.
